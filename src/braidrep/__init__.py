@@ -1,10 +1,10 @@
 """Exact symbolic linear algebra for complex representations of the braid group B3."""
 
-from .fields import (CC, DEFAULT_EPS, FloatField, Omega, Poly, PoleError, QQ,
-                     QW, QZ, RatFunc, TagMismatchError, field_of, format_scalar,
-                     join, poly_gcd, ratfunc_normalize, to_complex)
+from .fields import (CC, DEFAULT_EPS, ExactField, FloatField, Omega, Poly,
+                     PoleError, QQ, QW, QZ, RatFunc, TagMismatchError, field_of,
+                     format_scalar, join, poly_gcd, to_complex)
 from .matrices import (Matrix, SingularMatrixError, block_diag, char_poly,
-                       conjugate, hstack, kernel, kronecker, vstack)
+                       conjugate, hstack, vstack)
 from .families import (ParameterError, RepMeta, Representation, burau3,
                        burau3_diag, burau_change_of_basis, direct_sum, dual,
                        mu, mu_pascal, raw, specialize, standard_s3, tensor,

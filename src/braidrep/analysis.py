@@ -211,7 +211,8 @@ def _assemble_split(r: Representation, line: InvariantLine,
     conjugated = [inv * m * basis_change for m in r.images]
     for m in conjugated:
         off = [m[i, 0] for i in range(1, m.rows)] + [m[0, j] for j in range(1, m.cols)]
-        assert all(field.is_zero(x) for x in off), "splitting failed to block-diagonalize"
+        if not all(field.is_zero(x) for x in off):
+            raise DecompositionError("splitting failed to block-diagonalize")
     scalar_block = xi(line.eigenvalue, r.braid_index)
     rest = make_representation(
         r.braid_index, [m.delete_row_col(0, 0) for m in conjugated],
@@ -231,7 +232,7 @@ def intertwiners(r1: Representation, r2: Representation) -> list:
     """
     if r1.braid_index != r2.braid_index:
         raise ValueError("braid index mismatch")
-    if r1.field != r2.field and r1.field is not r2.field:
+    if r1.field != r2.field:
         raise ValueError("field mismatch")
     field = r1.field
     n1, n2 = r1.dimension, r2.dimension

@@ -11,9 +11,8 @@ import argparse
 import json
 import sys
 
-from .fields import DEFAULT_EPS, PoleError, TagMismatchError, format_scalar
-from .matrices import SingularMatrixError
-from .families import ParameterError, Representation, specialize
+from .fields import DEFAULT_EPS, TagMismatchError, format_scalar
+from .families import Representation, specialize
 from .analysis import (DEFAULT_SEED, DecompositionError, is_isomorphic,
                        split_once, verify_braid_relations)
 from .grammar import (ParseError, format_spec, matrix_to_json,
@@ -21,8 +20,7 @@ from .grammar import (ParseError, format_spec, matrix_to_json,
                       representation_to_json, representation_to_latex,
                       scalar_to_json)
 
-_DOMAIN_ERRORS = (ParameterError, PoleError, SingularMatrixError,
-                  TagMismatchError, ZeroDivisionError)
+_DOMAIN_ERRORS = (ValueError, TagMismatchError, ZeroDivisionError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,11 +29,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact constructions and checks for B3 representations.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, with_spec=True):
-        if with_spec:
-            p.add_argument("spec", nargs="?", help="family spec, e.g. 'burau(z)'")
-            p.add_argument("--raw", metavar="PATH",
-                           help="read the representation from a JSON file instead")
+    def add_common(p):
+        p.add_argument("spec", nargs="?", help="family spec, e.g. 'burau(z)'")
+        p.add_argument("--raw", metavar="PATH",
+                       help="read the representation from a JSON file instead")
         p.add_argument("--format", choices=("text", "json", "latex"), default="text")
         p.add_argument("--epsilon", type=float, default=DEFAULT_EPS,
                        help="tolerance for floating-field equality")
@@ -212,10 +209,11 @@ def main(argv=None) -> int:
     except _DOMAIN_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
 
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

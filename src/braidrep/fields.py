@@ -3,15 +3,17 @@
 Everything downstream works over one of four coefficient fields: the
 rationals QQ (stdlib ``Fraction``), the rational-function field QQ(z), the
 quadratic extension QQ(omega) with omega^2 + omega + 1 = 0, and a complex
-floating field whose equality test is tolerance-based.  Integers and
-rationals embed canonically into every field; any other mixing of scalar
-kinds is rejected.
+floating field whose equality test is tolerance-based.  The three exact
+fields are instances of one descriptor class that differ only in data.
+Integers and rationals embed canonically into every field; any other
+mixing of scalar kinds is rejected.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
 DEFAULT_EPS = 1e-9
 
@@ -338,11 +340,6 @@ class RatFunc:
         return format_scalar(self)
 
 
-def ratfunc_normalize(num: Poly, den: Poly) -> RatFunc:
-    """Canonical form of num/den: reduced, denominator monic."""
-    return RatFunc(num, den)
-
-
 # ---------------------------------------------------------------------------
 # The quadratic extension QQ(omega)
 
@@ -449,156 +446,62 @@ class Omega:
         return float(self.a) + float(self.b) * root
 
 
-ScalarValue = Union[Fraction, RatFunc, Omega, complex]
-
-
 # ---------------------------------------------------------------------------
 # Field descriptors
 
 
-class RationalField:
-    name = "QQ"
+class ExactField:
+    """An exact coefficient field, described by data.
+
+    ``scalar`` is the type of the field's elements, ``lift`` embeds a
+    rational (and whatever else the field admits) and raises
+    TagMismatchError for anything it cannot place, ``is_zero`` tests for
+    zero and ``inv`` inverts a nonzero element.
+    """
+
     uses_magnitude_pivot = False
+    eq = staticmethod(operator.eq)
 
-    @property
-    def zero(self):
-        return Fraction(0)
-
-    @property
-    def one(self):
-        return Fraction(1)
+    def __init__(self, name: str, scalar: type, lift, is_zero, inv):
+        self.name = name
+        self.scalar = scalar
+        self.lift = lift
+        self.is_zero = is_zero
+        self.inv = inv
+        self.zero = lift(Fraction(0))
+        self.one = lift(Fraction(1))
 
     def of_int(self, n: int):
-        return Fraction(n)
-
-    def lift(self, fr: Fraction):
-        return fr
+        return self.lift(Fraction(n))
 
     def coerce(self, value):
-        if isinstance(value, Fraction):
+        if isinstance(value, self.scalar):
             return value
-        if isinstance(value, int) and not isinstance(value, bool):
-            return Fraction(value)
-        raise TagMismatchError(f"cannot place {value!r} in {self.name}")
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("division by zero")
-        return 1 / a
+        try:
+            return self.lift(value)
+        except TagMismatchError:
+            raise TagMismatchError(f"cannot place {value!r} in {self.name}") from None
 
     def __repr__(self):
         return self.name
 
 
-class FunctionField:
-    name = "QQ(z)"
-    uses_magnitude_pivot = False
-
-    @property
-    def zero(self):
-        return RatFunc.const(0)
-
-    @property
-    def one(self):
-        return RatFunc.const(1)
-
-    @property
-    def gen(self):
-        return RatFunc.gen()
-
-    def of_int(self, n: int):
-        return RatFunc.const(n)
-
-    def lift(self, fr: Fraction):
-        return RatFunc.const(fr)
-
-    def coerce(self, value):
-        if isinstance(value, RatFunc):
-            return value
-        if isinstance(value, Poly):
-            return RatFunc(value)
-        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-            return RatFunc.const(value)
-        raise TagMismatchError(f"cannot place {value!r} in {self.name}")
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def inv(self, a):
-        return a.inv()
-
-    def __repr__(self):
-        return self.name
-
-
-class OmegaField:
-    name = "QQ(omega)"
-    uses_magnitude_pivot = False
-
-    @property
-    def zero(self):
-        return Omega(0, 0)
-
-    @property
-    def one(self):
-        return Omega(1, 0)
-
-    @property
-    def omega(self):
-        return Omega(0, 1)
-
-    def of_int(self, n: int):
-        return Omega(n, 0)
-
-    def lift(self, fr: Fraction):
-        return Omega(fr, 0)
-
-    def coerce(self, value):
-        if isinstance(value, Omega):
-            return value
-        if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
-            return Omega(value, 0)
-        raise TagMismatchError(f"cannot place {value!r} in {self.name}")
-
-    def eq(self, a, b) -> bool:
-        return a == b
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
-
-    def inv(self, a):
-        return a.inv()
-
-    def __repr__(self):
-        return self.name
+def _reciprocal(a):
+    if a == 0:
+        raise ZeroDivisionError("division by zero")
+    return 1 / a
 
 
 class FloatField:
     """Complex floating pairs; equality is scale-relative within eps."""
 
     name = "CC"
-
     uses_magnitude_pivot = True
+    zero = complex(0)
+    one = complex(1)
 
     def __init__(self, eps: float = DEFAULT_EPS):
         self.eps = eps
-
-    @property
-    def zero(self):
-        return complex(0)
-
-    @property
-    def one(self):
-        return complex(1)
 
     def of_int(self, n: int):
         return complex(n)
@@ -619,13 +522,11 @@ class FloatField:
     def is_zero(self, a) -> bool:
         return self.eq(a, complex(0))
 
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("division by zero")
-        return 1 / a
+    inv = staticmethod(_reciprocal)
 
     def __eq__(self, other):
-        return isinstance(other, FloatField) and self.eps == other.eps
+        # identity first, so that a field whose eps is nan still equals itself
+        return self is other or (isinstance(other, FloatField) and self.eps == other.eps)
 
     def __hash__(self):
         return hash(("CC", self.eps))
@@ -634,9 +535,12 @@ class FloatField:
         return f"CC(eps={self.eps:g})"
 
 
-QQ = RationalField()
-QZ = FunctionField()
-QW = OmegaField()
+_is_zero, _inv = operator.methodcaller("is_zero"), operator.methodcaller("inv")
+QQ = ExactField("QQ", Fraction, _as_fraction, lambda a: a == 0, _reciprocal)
+QZ = ExactField("QQ(z)", RatFunc, RatFunc, _is_zero, _inv)  # the constructor also lifts a Poly
+QZ.gen = RatFunc.gen()
+QW = ExactField("QQ(omega)", Omega, Omega, _is_zero, _inv)
+QW.omega = Omega(0, 1)
 CC = FloatField()
 
 
@@ -664,7 +568,7 @@ def join(a, b):
         return fb.coerce(a if isinstance(a, Fraction) else Fraction(a)), b, fb
     if fb is QQ and fa is not QQ:
         return a, fa.coerce(b if isinstance(b, Fraction) else Fraction(b)), fa
-    if type(fa) is not type(fb):
+    if fa != fb:
         raise TagMismatchError(f"cannot mix scalars from {fa.name} and {fb.name}")
     return fa.coerce(a), fb.coerce(b), fa
 

@@ -16,7 +16,7 @@ from .fields import (CC, DEFAULT_EPS, FloatField, Omega, Poly, QQ, QW, QZ,
                      RatFunc, field_of, format_scalar)
 from .matrices import Matrix
 from .families import (Representation, RepMeta, burau3, burau3_diag, dual,
-                       direct_sum, make_representation, mu, mu_pascal, raw,
+                       direct_sum, make_representation, mu, mu_pascal,
                        standard_s3, tensor, theorem1_i, theorem1_ii, xi)
 
 
@@ -250,7 +250,11 @@ def parse_family_spec(text: str, eps: float = DEFAULT_EPS) -> Representation:
             key, _, value = item.partition("=")
             key = key.strip()
             if key in keywords:
-                kw_args[key] = int(value.strip())
+                try:
+                    kw_args[key] = int(value.strip())
+                except ValueError:
+                    raise ParseError(f"parameter {key!r} must be an integer, "
+                                     f"got {value.strip()!r}") from None
             elif key in positional[1:]:
                 kw_args[key] = parse_scalar(value, eps)
             else:
@@ -274,13 +278,12 @@ def format_spec(meta: RepMeta) -> str:
         return "standard_s3"
     if name in ("raw", "block"):
         return name
-    rename = {"burau": "burau", "burau_diag": "burau_diag"}
     parts = [format_scalar(meta.params["z"])]
     extras = [f"{k}={format_scalar(v)}" for k, v in meta.params.items()
               if k not in ("z",) and not isinstance(v, int)]
     extras += [f"{k}={v}" for k, v in meta.params.items() if isinstance(v, int)]
     body = parts[0] if not extras else f"{parts[0]}; {', '.join(extras)}"
-    return f"{rename.get(name, name)}({body})"
+    return f"{name}({body})"
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +326,10 @@ def matrix_to_json(m: Matrix) -> dict:
 
 def matrix_from_json(obj: dict, eps: float = DEFAULT_EPS) -> Matrix:
     try:
-        rows, cols = obj["rows"], obj["cols"]
-        values = [scalar_from_json(e, eps) for r in obj["entries"] for e in r]
+        rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
+        values = [scalar_from_json(e, eps) for r in entries for e in r]
+        if len(entries) != rows or any(len(r) != cols for r in entries):
+            raise ValueError(f"expected {rows} rows of {cols} entries")
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad matrix JSON: {exc}") from None
     if not values:

@@ -77,7 +77,7 @@ class Matrix:
     # -- arithmetic ---------------------------------------------------------
 
     def _check_same_field(self, other: "Matrix"):
-        if self.field != other.field and self.field is not other.field:
+        if self.field != other.field:
             raise ValueError(f"field mismatch: {self.field!r} vs {other.field!r}")
 
     def __add__(self, other):
@@ -293,14 +293,6 @@ def block_diag(a: Matrix, b: Matrix) -> Matrix:
 def conjugate(p: Matrix, m: Matrix) -> Matrix:
     """Change of basis p^{-1} * m * p."""
     return p.inverse() * m * p
-
-
-def kronecker(a: Matrix, b: Matrix) -> Matrix:
-    return a.kron(b)
-
-
-def kernel(m: Matrix) -> list:
-    return m.kernel()
 
 
 # ---------------------------------------------------------------------------

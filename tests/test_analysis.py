@@ -12,6 +12,7 @@ from braidrep import (DecompositionError, Matrix, QQ, QW, QZ, RatFunc,
                       spectrum_of_triangular, split_once, tensor, theorem1_i,
                       theorem1_ii, verify_braid_relations, xi)
 from braidrep import raw as raw_rep
+from braidrep.analysis import InvariantLine, _assemble_split
 
 from _gen import rand_fraction
 
@@ -203,6 +204,15 @@ def test_split_mu_at_one():
     scalar_block, rest = report.blocks
     assert scalar_block.images[0] == Matrix.identity(1, QQ)
     assert is_isomorphic(rest, burau3(Fraction(1))).verdict == "yes"
+
+
+def test_split_with_a_wrong_complement_raises():
+    # e2 pairs nonzero with the invariant line, but its kernel is not invariant
+    square = tensor_square()
+    line = common_invariant_lines(square, "right")[0]
+    e2 = InvariantLine(line.eigenvalue, Matrix.column([ZERO, ONE, ZERO, ZERO], QZ), "left")
+    with pytest.raises(DecompositionError, match="failed to block-diagonalize"):
+        _assemble_split(square, line, e2)
 
 
 def test_split_failure_on_irreducible_input():

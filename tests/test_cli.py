@@ -1,9 +1,16 @@
 """End-to-end tests of the command-line interface and its exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
-from braidrep import cli, families
+import pytest
+
+import braidrep
+from braidrep import analysis, cli, families
 from braidrep.grammar import representation_to_json, scalar_from_json
 from braidrep.matrices import Matrix
 from braidrep.fields import QQ
@@ -56,6 +63,27 @@ def test_usage_error_is_exit_2(capsys):
     assert code == 2
 
 
+def test_non_integer_braid_index_is_exit_2(capsys):
+    code, _, err = run(capsys, "show", "xi(z; n=abc)")
+    assert code == 2
+    assert "parse error: parameter 'n' must be an integer" in err
+
+
+@pytest.mark.parametrize("module", ["braidrep", "braidrep.cli"])
+def test_python_dash_m_runs_the_cli(capsys, module):
+    env = dict(os.environ, PYTHONPATH=str(Path(braidrep.__file__).parents[1]))
+
+    def python_m(*argv):
+        return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    shown = python_m("show", "burau(z)")
+    assert (shown.returncode, shown.stdout) == run(capsys, "show", "burau(z)")[:2]
+    bad = python_m("show", "bad(")
+    assert bad.returncode == 2
+    assert "parse error" in bad.stderr
+
+
 # -- verify ----------------------------------------------------------------------
 
 def test_verify_burau(capsys):
@@ -89,6 +117,17 @@ def test_verify_raw_round_trip_of_valid_rep(capsys, tmp_path):
     assert code == 0
 
 
+def test_verify_raw_ragged_rows_is_exit_2(capsys, tmp_path):
+    payload = {"braid_index": 3, "images": [
+        {"rows": 2, "cols": 2, "entries": [["1", "0"], ["0"]]},
+        {"rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]}]}
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run(capsys, "verify", "--raw", str(path))
+    assert code == 2
+    assert "parse error: bad matrix JSON: expected 2 rows of 2 entries" in err
+
+
 def test_verify_raw_singular_image_is_exit_3(capsys, tmp_path):
     payload = {"braid_index": 3, "images": [
         {"rows": 1, "cols": 1, "entries": [["1"]]},
@@ -115,6 +154,23 @@ def test_decompose_mu_at_one(capsys):
     assert code == 0
     assert "block 1 (1-dimensional)" in out
     assert "block 2 (2-dimensional)" in out
+
+
+def test_decompose_with_a_wrong_complement_is_exit_1(capsys, monkeypatch):
+    real_lines = analysis.common_invariant_lines
+
+    def wrong_left_lines(rep, side="right"):
+        lines = real_lines(rep, side)
+        if side == "left":  # swap in e2, which pairs with the line but is not invariant
+            e2 = Matrix.column([0, 1, 0, 0], rep.field)
+            lines = [analysis.InvariantLine(lines[0].eigenvalue, e2, "left")]
+        return lines
+
+    monkeypatch.setattr(analysis, "common_invariant_lines", wrong_left_lines)
+    code, out, err = run(capsys, "decompose", "tensor(burau(z),burau(z))")
+    assert code == 1
+    assert "decomposition failed: splitting failed to block-diagonalize" in out
+    assert err == ""
 
 
 def test_decompose_burau_reports_no_line(capsys):

@@ -158,8 +158,18 @@ def test_mu_excluded_parameters():
 def test_every_named_constructor_satisfies_relations_symbolically():
     reps = [burau3(Z), burau3_diag(Z), mu(Z), mu_pascal(Z), xi(Z), xi(-Z),
             theorem1_i(Z, ONE), theorem1_ii(Z, QZ.of_int(2)), standard_s3()]
+    rng = random.Random(53)
+    points = [QW.omega, QW.omega + 3]
+    while len(points) < 8:
+        q = rand_fraction(rng, nonzero=True)
+        if q != -1:
+            points.append(q)
+    for p in points:
+        reps += [burau3(p), burau3_diag(p), mu(p), mu_pascal(p), xi(p),
+                 theorem1_i(p, p * rand_fraction(rng, nonzero=True)),
+                 theorem1_ii(p, p + rand_fraction(rng))]
     for rep in reps:
-        assert verify_braid_relations(rep).overall, rep.meta.family
+        assert verify_braid_relations(rep).overall, (rep.meta.family, rep.meta.params)
 
 
 def test_standard_s3_images_are_involutions():

@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from braidrep import (CC, Omega, Poly, PoleError, QQ, QW, QZ, RatFunc,
-                      field_of, format_scalar, join, poly_gcd,
-                      ratfunc_normalize, TagMismatchError)
+from braidrep import (CC, ExactField, FloatField, Omega, Poly, PoleError, QQ,
+                      QW, QZ, RatFunc, field_of, format_scalar, join, poly_gcd,
+                      TagMismatchError)
 
 from _gen import rand_fraction, rand_omega, rand_poly, rand_ratfunc
 
@@ -53,18 +53,18 @@ def test_gcd_divides_both_and_is_divided_by_common_divisors():
 # -- canonical fractions -----------------------------------------------------
 
 def test_normalize_cancels():
-    r = ratfunc_normalize(Poly([-1, 0, 1]), Poly([-1, 1]))
+    r = RatFunc(Poly([-1, 0, 1]), Poly([-1, 1]))
     assert r == RatFunc(Poly([1, 1]))
     assert r.den == Poly([1])
 
 
 def test_normalize_removes_content():
-    assert ratfunc_normalize(Poly([0, 2]), Poly([2])) == RatFunc.gen()
+    assert RatFunc(Poly([0, 2]), Poly([2])) == RatFunc.gen()
 
 
 def test_normalize_monic_denominator():
     num = Poly([0, 1]) * Poly([1, 1, 1])
-    r = ratfunc_normalize(num, Poly([1, 1]) ** 2)
+    r = RatFunc(num, Poly([1, 1]) ** 2)
     assert r.den == Poly([1, 2, 1])
     assert r.den.lead == 1
     assert r.num == Poly([0, 1, 1, 1])
@@ -72,15 +72,15 @@ def test_normalize_monic_denominator():
 
 def test_normalize_zero_denominator_rejected():
     with pytest.raises(ZeroDivisionError, match="division by zero polynomial"):
-        ratfunc_normalize(Poly([1]), Poly())
+        RatFunc(Poly([1]), Poly())
 
 
 def test_normalize_idempotent():
     rng = random.Random(5)
     for _ in range(80):
         num, den = rand_poly(rng, 3), rand_poly(rng, 3, nonzero=True)
-        once = ratfunc_normalize(num, den)
-        again = ratfunc_normalize(once.num, once.den)
+        once = RatFunc(num, den)
+        again = RatFunc(once.num, once.den)
         assert once == again
 
 
@@ -110,6 +110,21 @@ def test_tag_mixing_rejected():
         join(RatFunc.gen(), Omega(1, 0))
     with pytest.raises(TagMismatchError):
         QW.coerce(RatFunc.gen())
+
+
+def test_exact_fields_share_one_descriptor_and_accept_what_they_embed():
+    assert all(isinstance(f, ExactField) for f in (QQ, QZ, QW))
+    assert QQ.coerce(3) == Fraction(3) and QQ.coerce(Fraction(1, 2)) == Fraction(1, 2)
+    assert QZ.coerce(Z + 1) == RatFunc(Poly([1, 1]))
+    assert QZ.coerce(Fraction(2)) == QZ.of_int(2) == RatFunc.const(2)
+    assert QW.coerce(-1) == Omega(-1, 0)
+    rejected = [(QQ, True), (QQ, Z), (QQ, RatFunc.gen()), (QQ, 0.5), (QZ, False),
+                (QZ, Omega(0, 1)), (QZ, 0.5), (QW, True), (QW, Z), (QW, complex(1))]
+    for field, value in rejected:
+        with pytest.raises(TagMismatchError, match=r"^cannot place .* in "):
+            field.coerce(value)
+    frac = Fraction(5, 7)
+    assert QQ.lift(frac) is frac
 
 
 def test_rationals_lift_into_larger_fields():
@@ -193,6 +208,12 @@ def test_field_of_dispatch():
     assert field_of(RatFunc.gen()) is QZ
     assert field_of(Omega(0, 1)) is QW
     assert field_of(complex(2)) is CC
+
+
+def test_float_field_equals_itself_even_with_nan_eps():
+    nan_field = FloatField(float("nan"))
+    assert nan_field == nan_field
+    assert FloatField(1e-6) == FloatField(1e-6) != CC
 
 
 def test_float_equality_is_scale_relative():

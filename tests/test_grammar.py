@@ -120,6 +120,12 @@ def test_parse_spec_errors():
         parse_family_spec("standard_s3(1)")
 
 
+def test_integer_keyword_must_be_an_integer():
+    for bad in ("abc", "2.5", ""):
+        with pytest.raises(ParseError, match="parameter 'n' must be an integer"):
+            parse_family_spec(f"xi(z; n={bad})")
+
+
 def test_spec_print_parse_round_trip():
     specs = ["burau(z)", "burau(5/7)", "burau_diag(z)", "mu(z)", "mu_pascal(z)",
              "xi(-z)", "xi(2; n=5)", "thm1_i(z; f=-z/(z+1))", "thm1_ii(2; e=0)",
@@ -165,6 +171,9 @@ def test_matrix_json_errors():
         matrix_from_json({"rows": 1, "cols": 1})
     with pytest.raises(ParseError):
         matrix_from_json({"rows": 1, "cols": 1, "entries": [[{"bogus": 1}]]})
+    for ragged in ([["1", "0"], ["0"]], [["1", "0", "0"], ["1"]], [["1", "0"]]):
+        with pytest.raises(ParseError, match="expected 2 rows of 2 entries"):
+            matrix_from_json({"rows": 2, "cols": 2, "entries": ragged})
 
 
 def test_representation_json_round_trip():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from braidrep import (Matrix, QQ, QZ, RatFunc, SingularMatrixError,
-                      char_poly, conjugate, kernel, kronecker, vstack)
+                      char_poly, conjugate, vstack)
 
 from _gen import rand_fraction, rand_invertible, rand_matrix
 
@@ -113,19 +113,19 @@ def test_singular_matrix_rejected():
 def test_kernel_of_dense_generator_minus_identity():
     d = mu_sigma2()
     shifted = d - Matrix.identity(3, QZ)
-    basis = kernel(shifted)
+    basis = shifted.kernel()
     assert len(basis) == 1
     assert basis[0] == Matrix.column([ONE, QZ.of_int(-2), ONE], QZ)
 
 
 def test_kernel_of_identity_empty():
-    assert kernel(Matrix.identity(4, QQ)) == []
+    assert Matrix.identity(4, QQ).kernel() == []
 
 
 def test_kernel_eigenvalue_minus_z():
     d = mu_sigma2()
     shifted = d - Matrix.identity(3, QZ).scale(-Z)
-    basis = kernel(shifted)
+    basis = shifted.kernel()
     w = Z * Z + Z + ONE
     reference = Matrix.column([-w / Z, (Z * Z + ONE) / Z, ONE], QZ)
     normalized = reference.scale(QZ.inv(reference.entries[0]))
@@ -137,7 +137,7 @@ def test_kernel_vectors_annihilated_and_rank_nullity():
     for _ in range(25):
         rows, cols = rng.randint(1, 4), rng.randint(1, 4)
         m = Matrix(rows, cols, [rand_fraction(rng, -3, 3) for _ in range(rows * cols)], QQ)
-        basis = kernel(m)
+        basis = m.kernel()
         zero_col = Matrix.zero(rows, 1, QQ)
         for v in basis:
             assert m * v == zero_col
@@ -148,7 +148,7 @@ def test_kernel_vectors_annihilated_and_rank_nullity():
 # -- kronecker ---------------------------------------------------------------
 
 def test_kron_of_burau_sigma1():
-    got = kronecker(burau_sigma1(), burau_sigma1())
+    got = burau_sigma1().kron(burau_sigma1())
     expected = Matrix.from_rows([
         [Z * Z, ZERO, ZERO, ZERO],
         [-Z, -Z, ZERO, ZERO],
@@ -158,7 +158,7 @@ def test_kron_of_burau_sigma1():
 
 
 def test_kron_of_burau_sigma2():
-    got = kronecker(burau_sigma2(), burau_sigma2())
+    got = burau_sigma2().kron(burau_sigma2())
     expected = Matrix.from_rows([
         [ONE, Z, Z, Z * Z],
         [ZERO, -Z, ZERO, -(Z * Z)],
@@ -169,14 +169,14 @@ def test_kron_of_burau_sigma2():
 
 def test_kron_identities():
     i2 = Matrix.identity(2, QQ)
-    assert kronecker(i2, i2) == Matrix.identity(4, QQ)
+    assert i2.kron(i2) == Matrix.identity(4, QQ)
 
 
 def test_kron_mixed_product_property():
     rng = random.Random(31)
     for _ in range(15):
         a, b, c, d = (rand_matrix(rng, 2, QQ, rand_fraction) for _ in range(4))
-        assert kronecker(a, b) * kronecker(c, d) == kronecker(a * c, b * d)
+        assert a.kron(b) * c.kron(d) == (a * c).kron(b * d)
 
 
 def test_trace_of_kron_multiplies():
@@ -184,7 +184,7 @@ def test_trace_of_kron_multiplies():
     for _ in range(15):
         a = rand_matrix(rng, 2, QQ, rand_fraction)
         b = rand_matrix(rng, 3, QQ, rand_fraction)
-        assert kronecker(a, b).trace() == a.trace() * b.trace()
+        assert a.kron(b).trace() == a.trace() * b.trace()
 
 
 # -- conjugation -------------------------------------------------------------
@@ -277,5 +277,5 @@ def test_delete_row_col():
 def test_vstack_kernel_intersects():
     a = Matrix.from_rows([[1, 1, 0]], QQ)
     b = Matrix.from_rows([[0, 1, 1]], QQ)
-    basis = kernel(vstack([a, b]))
+    basis = vstack([a, b]).kernel()
     assert basis == [Matrix.column([Fraction(1), Fraction(-1), Fraction(1)], QQ)]

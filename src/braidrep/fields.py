@@ -7,12 +7,19 @@ floating field whose equality test is tolerance-based.  The three exact
 fields are instances of one descriptor class that differ only in data.
 Integers and rationals embed canonically into every field; any other
 mixing of scalar kinds is rejected.
+
+Polynomials over QQ keep integer numerators over one common denominator,
+so their arithmetic runs on Python ints rather than on a ``Fraction`` per
+coefficient.  The gcd that keeps every element of QQ(z) reduced is a
+primitive remainder sequence over ZZ, and powers of a reduced fraction are
+taken part by part, with no gcd.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable
 
 DEFAULT_EPS = 1e-9
@@ -36,46 +43,113 @@ def _as_fraction(value) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # Polynomials over QQ
+#
+# Integer polynomials are lists or tuples of Python ints, ascending by degree
+# with no trailing zeros; the helpers below work on them directly.
+
+
+def _strip(cs: list) -> list:
+    while cs and not cs[-1]:
+        cs.pop()
+    return cs
+
+
+def _primitive(cs: list) -> list:
+    """The integer polynomial divided by the gcd of its coefficients."""
+    g = gcd(*cs)
+    return [c // g for c in cs] if g > 1 else cs
+
+
+def _pdivmod(a, b) -> tuple:
+    """Pseudo-division over ZZ: q, r and an integer m > 0 with m*a = q*b + r.
+
+    Each step scales the partial remainder only as far as it must for the
+    leading coefficient of b to divide exactly, so m is 1 whenever b
+    divides a over ZZ.
+    """
+    r = list(a)
+    db, lc = len(b) - 1, b[-1]
+    q = [0] * max(len(r) - db, 0)
+    m = 1
+    while len(r) > db:
+        top = r[-1]
+        c, rest = divmod(top, lc)
+        if rest:
+            s = abs(lc) // gcd(top, lc)
+            r, q, m = [x * s for x in r], [x * s for x in q], m * s
+            c = top * s // lc
+        k = len(r) - 1 - db
+        q[k] = c
+        for j in range(db):
+            r[k + j] -= c * b[j]
+        r.pop()
+        _strip(r)
+    return q, r, m
+
+
+def _poly(nums: list, den: int = 1) -> "Poly":
+    """The polynomial (sum of nums[k] z^k) / den, brought to canonical form."""
+    _strip(nums)
+    if den < 0:
+        nums, den = [-c for c in nums], -den
+    if den != 1:
+        g = gcd(den, *nums)
+        if g != 1:
+            nums, den = [c // g for c in nums], den // g
+    p = object.__new__(Poly)
+    p.nums = tuple(nums)
+    p.den = den
+    return p
 
 
 class Poly:
     """Dense univariate polynomial in z over the rationals.
 
-    Coefficients are stored ascending by degree with trailing zeros
-    stripped; the zero polynomial has an empty coefficient tuple.
+    Stored as integer numerators ``nums``, ascending by degree with trailing
+    zeros stripped, over one positive common denominator ``den`` that shares
+    no factor with all of them.  Every polynomial therefore has exactly one
+    representation (the zero polynomial is ``nums == ()``, ``den == 1``),
+    and all arithmetic runs on Python ints.  ``coeffs``, ``coeff`` and
+    ``lead`` present the coefficients as ``Fraction``s.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [_as_fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = lcm(*(c.denominator for c in cs))
+        p = _poly([c.numerator * (den // c.denominator) for c in cs], den)
+        self.nums, self.den = p.nums, p.den
 
     @classmethod
     def const(cls, c) -> "Poly":
-        return cls((_as_fraction(c),))
+        c = _as_fraction(c)
+        return _poly([c.numerator], c.denominator)
 
     @classmethod
     def gen(cls) -> "Poly":
-        return cls((0, 1))
+        return _poly([0, 1])
+
+    @property
+    def coeffs(self) -> tuple:
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     @property
     def lead(self) -> Fraction:
-        if not self.coeffs:
+        if not self.nums:
             raise ValueError("the zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return Fraction(self.nums[-1], self.den)
 
     def coeff(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
+        return Fraction(self.nums[k], self.den) if 0 <= k < len(self.nums) else Fraction(0)
 
     def _coerce(self, other):
         if isinstance(other, Poly):
@@ -84,12 +158,26 @@ class Poly:
             return Poly.const(other)
         return None
 
+    def _sum(self, other: "Poly", sign: int) -> "Poly":
+        ad, bd = self.den, other.den
+        if ad == bd:
+            den, fa, fb = ad, 1, sign
+        else:
+            g = gcd(ad, bd)
+            den, fa, fb = ad // g * bd, bd // g, sign * (ad // g)
+        out = [c * fa for c in self.nums] if fa != 1 else list(self.nums)
+        bn = other.nums
+        if len(bn) > len(out):
+            out.extend([0] * (len(bn) - len(out)))
+        for k, c in enumerate(bn):
+            out[k] += fb * c
+        return _poly(out, den)
+
     def __add__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.coeff(k) + other.coeff(k) for k in range(n))
+        return self._sum(other, 1)
 
     __radd__ = __add__
 
@@ -97,8 +185,7 @@ class Poly:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        n = max(len(self.coeffs), len(other.coeffs))
-        return Poly(self.coeff(k) - other.coeff(k) for k in range(n))
+        return self._sum(other, -1)
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -107,30 +194,35 @@ class Poly:
         return other - self
 
     def __neg__(self):
-        return Poly(-c for c in self.coeffs)
+        return _poly([-c for c in self.nums], self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Poly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Poly(out)
+        an, bn = self.nums, other.nums
+        if not an or not bn:
+            return _poly([])
+        out = [0] * (len(an) + len(bn) - 1)
+        for i, a in enumerate(an):
+            if a:
+                for j, b in enumerate(bn):
+                    out[i + j] += a * b
+        return _poly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
+        """Binary powering: about log2(n) products instead of n."""
         if not isinstance(n, int) or n < 0:
             raise ValueError("polynomial exponent must be a nonnegative integer")
-        out = Poly.const(1)
-        for _ in range(n):
-            out = out * self
+        out, base = _poly([1]), self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
         return out
 
     def __divmod__(self, other):
@@ -139,18 +231,11 @@ class Poly:
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        dd, dlead = other.degree, other.lead
-        quot = [Fraction(0)] * max(len(rem) - dd, 0)
-        while len(rem) - 1 >= dd and rem:
-            k = len(rem) - 1 - dd
-            c = rem[-1] / dlead
-            quot[k] = c
-            for j, b in enumerate(other.coeffs):
-                rem[k + j] -= c * b
-            while rem and rem[-1] == 0:
-                rem.pop()
-        return Poly(quot), Poly(rem)
+        # m*A = q*B + r for the numerators A, B, so with the denominators
+        # ad, bd: self = A/ad = (q*bd/(m*ad)) * other + r/(m*ad)
+        q, r, m = _pdivmod(self.nums, other.nums)
+        m *= self.den
+        return _poly([x * other.den for x in q], m), _poly(r, m)
 
     def __floordiv__(self, other):
         return divmod(self, other)[0]
@@ -160,28 +245,49 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         c = _as_fraction(c)
-        return Poly(a * c for a in self.coeffs)
+        return _poly([a * c.numerator for a in self.nums], self.den * c.denominator)
 
     def monic(self) -> "Poly":
         if self.is_zero():
             return self
-        return self.scale(1 / self.lead)
+        return _poly(list(self.nums), self.nums[-1])
 
     def evaluate(self, point, field):
-        """Horner evaluation; coefficients are lifted into ``field``."""
+        """Horner evaluation at ``point``, an element of ``field``.
+
+        Over the floating field each coefficient becomes its correctly
+        rounded float (int true division rounds correctly, as
+        ``float(Fraction)`` does), highest degree first, so float results
+        depend only on the coefficients' values.  Exact fields run Horner on
+        the integer numerators and divide by the common denominator once;
+        over QQ the whole evaluation stays in ints.
+        """
+        nums, den = self.nums, self.den
+        if field is QQ:
+            # sum of c_k p^k q^(n-k), over q^n * den
+            p, q = point.numerator, point.denominator
+            acc, qk = 0, 1
+            for c in reversed(nums):
+                acc = acc * p + c * qk
+                qk *= q
+            return Fraction(acc * q, den * qk)
         acc = field.zero
-        for c in reversed(self.coeffs):
-            acc = acc * point + field.lift(c)
-        return acc
+        if isinstance(field, FloatField):
+            for c in reversed(nums):
+                acc = acc * point + complex(c / den)
+            return acc
+        for c in reversed(nums):
+            acc = acc * point + c
+        return acc / den if den != 1 else acc
 
     def __eq__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        return hash(("Poly", self.nums, self.den))
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
@@ -190,26 +296,47 @@ class Poly:
         return format_poly(self)
 
 
-def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic greatest common divisor by the Euclidean algorithm.
+_ZERO, _ONE = _poly([]), _poly([1])
 
+
+def poly_gcd(p: Poly, q: Poly) -> Poly:
+    """Monic greatest common divisor by a primitive remainder sequence over ZZ.
+
+    Works on the integer numerators: each pseudo-remainder is divided by the
+    gcd of its coefficients (Collins 1967; Brown 1971), so coefficients stay
+    near the size of the inputs' instead of growing as Euclid's over QQ do.
     gcd(p, 0) is the monic multiple of p and gcd(0, 0) is 0.
     """
-    a, b = p, q
-    while not b.is_zero():
-        a, b = b, a % b
-    return a.monic()
+    a, b = _primitive(list(p.nums)), _primitive(list(q.nums))
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        if len(b) == 1:
+            return _ONE
+        a, b = b, _primitive(_pdivmod(a, b)[1])
+    return _poly(a, a[-1]) if a else _ZERO
 
 
 # ---------------------------------------------------------------------------
 # The rational-function field QQ(z)
 
 
+def _reduced(num: Poly, den: Poly) -> "RatFunc":
+    """A RatFunc from coprime parts whose denominator is already monic."""
+    r = object.__new__(RatFunc)
+    r.num = num
+    r.den = den
+    return r
+
+
 class RatFunc:
     """Reduced fraction of two polynomials with monic denominator.
 
     The constructor normalizes, so two equal fractions are structurally
-    identical; equality is therefore decidable by comparing parts.
+    identical; equality is therefore decidable by comparing parts.  A
+    constant denominator needs no gcd; otherwise both parts are divided
+    exactly, over ZZ, by their primitive gcd.  Negation, inversion and
+    powers of a reduced fraction are reduced already and skip the gcd.
     """
 
     __slots__ = ("num", "den")
@@ -218,20 +345,29 @@ class RatFunc:
         if not isinstance(num, Poly):
             num = Poly.const(num)
         if den is None:
-            den = Poly.const(1)
+            den = _ONE
         elif not isinstance(den, Poly):
             den = Poly.const(den)
-        if den.is_zero():
+        dn = den.nums
+        if not dn:
             raise ZeroDivisionError("division by zero polynomial")
-        if num.is_zero():
-            num, den = Poly(), Poly.const(1)
+        if not num.nums:
+            num, den = _ZERO, _ONE
+        elif len(dn) == 1:
+            # num / (dn[0] / den.den)
+            if dn[0] != 1 or den.den != 1:
+                num = _poly([c * den.den for c in num.nums], num.den * dn[0])
+            den = _ONE
         else:
+            nn = num.nums
             g = poly_gcd(num, den)
-            if g.degree > 0:
-                num, den = num // g, den // g
-            lc = den.lead
-            if lc != 1:
-                num, den = num.scale(1 / lc), den.scale(1 / lc)
+            if len(g.nums) > 1:
+                # g.nums is primitive, so it divides both numerators over ZZ
+                nn, dn = _pdivmod(nn, g.nums)[0], _pdivmod(dn, g.nums)[0]
+            # num/den = (nn * den.den) / (dn * num.den); make dn monic
+            lc = dn[-1]
+            num = _poly([c * den.den for c in nn], num.den * lc)
+            den = _poly(list(dn), lc)
         self.num = num
         self.den = den
 
@@ -244,7 +380,7 @@ class RatFunc:
         return cls(Poly.gen())
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num.nums
 
     def _coerce(self, other):
         if isinstance(other, RatFunc):
@@ -259,6 +395,8 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:
+            return RatFunc(self.num + other.num, self.den)
         return RatFunc(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
@@ -267,6 +405,8 @@ class RatFunc:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
+        if self.den == other.den:
+            return RatFunc(self.num - other.num, self.den)
         return RatFunc(self.num * other.den - other.num * self.den, self.den * other.den)
 
     def __rsub__(self, other):
@@ -276,7 +416,7 @@ class RatFunc:
         return other - self
 
     def __neg__(self):
-        return RatFunc(-self.num, self.den)
+        return _reduced(-self.num, self.den)
 
     def __mul__(self, other):
         other = self._coerce(other)
@@ -289,7 +429,8 @@ class RatFunc:
     def inv(self) -> "RatFunc":
         if self.is_zero():
             raise ZeroDivisionError("division by zero")
-        return RatFunc(self.den, self.num)
+        lc = self.num.lead
+        return _reduced(self.den.scale(1 / lc), self.num.scale(1 / lc))
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -307,10 +448,7 @@ class RatFunc:
         if not isinstance(n, int):
             raise ValueError("exponent must be an integer")
         base = self if n >= 0 else self.inv()
-        out = RatFunc.const(1)
-        for _ in range(abs(n)):
-            out = out * base
-        return out
+        return _reduced(base.num ** abs(n), base.den ** abs(n))
 
     def evaluate(self, point):
         """Substitute ``point`` for z; the result carries the point's field.
@@ -331,7 +469,7 @@ class RatFunc:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("RatFunc", self.num.coeffs, self.den.coeffs))
+        return hash(("RatFunc", self.num, self.den))
 
     def __repr__(self):
         return f"RatFunc({self.num!r}, {self.den!r})"

@@ -24,6 +24,15 @@ class ParseError(ValueError):
     """Bad input text; the message carries the offending position."""
 
 
+# Size limits that keep any spec cheap to parse and build: the braid index
+# of ``xi`` (its relation check is quadratic in it) and the result of one
+# ``^`` (binary powering is fast, but chained powers such as z^1000^1000
+# grow without bound).
+MAX_XI_BRAID_INDEX = 200
+MAX_POWER_DEGREE = 1024
+MAX_POWER_BITS = 4096
+
+
 # ---------------------------------------------------------------------------
 # Scalar expressions
 
@@ -93,11 +102,17 @@ class _ScalarParser:
     def term(self):
         value = self.unary()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, at = self.peek()
             if kind == "op" and text in "*/":
                 self.take()
                 rhs = self.unary()
-                value = value * rhs if text == "*" else value / rhs
+                if text == "*":
+                    value = value * rhs
+                else:
+                    try:
+                        value = value / rhs
+                    except ZeroDivisionError:
+                        raise ParseError(f"division by zero at position {at}") from None
             else:
                 return value
 
@@ -118,7 +133,12 @@ class _ScalarParser:
             ekind, etext, at = self.take()
             if ekind != "int":
                 raise ParseError(f"exponent must be an integer literal at position {at}")
-            base = base ** int(etext)
+            k = int(etext)
+            degree, bits = _size(base)
+            if degree * k > MAX_POWER_DEGREE or bits * k > MAX_POWER_BITS:
+                raise ParseError(f"power ^{k} at position {at} exceeds the size limit "
+                                 f"(degree {MAX_POWER_DEGREE}, {MAX_POWER_BITS} bits)")
+            base = base ** k
 
     def atom(self):
         kind, text, at = self.take()
@@ -135,6 +155,26 @@ class _ScalarParser:
             self.expect_op(")")
             return value
         raise ParseError(f"unexpected {'end of input' if kind is None else text!r} at position {at}")
+
+
+def _bits(q: Fraction) -> int:
+    return max(q.numerator.bit_length(), q.denominator.bit_length())
+
+
+def _size(v) -> tuple:
+    """Degree in z and largest coefficient bit length of a scalar.
+
+    A power ``v ** k`` has k times the degree and about k times the bits.
+    """
+    if isinstance(v, RatFunc):
+        parts = (v.num, v.den)
+        return (max(p.degree for p in parts),
+                max(_bits(c) for p in parts for c in p.coeffs))
+    if isinstance(v, Omega):
+        return 0, max(_bits(v.a), _bits(v.b))
+    if isinstance(v, Fraction):
+        return 0, _bits(v)
+    return 0, 0  # floats keep their size
 
 
 def parse_scalar(text: str, eps: float = DEFAULT_EPS):
@@ -255,6 +295,9 @@ def parse_family_spec(text: str, eps: float = DEFAULT_EPS) -> Representation:
                 except ValueError:
                     raise ParseError(f"parameter {key!r} must be an integer, "
                                      f"got {value.strip()!r}") from None
+                if kw_args[key] > MAX_XI_BRAID_INDEX:
+                    raise ParseError(f"parameter {key!r} is {kw_args[key]}, above the "
+                                     f"limit {MAX_XI_BRAID_INDEX}")
             elif key in positional[1:]:
                 kw_args[key] = parse_scalar(value, eps)
             else:
@@ -305,16 +348,19 @@ def scalar_to_json(v):
 
 
 def scalar_from_json(obj, eps: float = DEFAULT_EPS):
-    if isinstance(obj, str):
-        return Fraction(obj)
-    if isinstance(obj, dict):
-        if "num" in obj and "den" in obj:
-            return RatFunc(Poly(Fraction(c) for c in obj["num"]),
-                           Poly(Fraction(c) for c in obj["den"]))
-        if "a" in obj and "b" in obj:
-            return Omega(Fraction(obj["a"]), Fraction(obj["b"]))
-        if "re" in obj and "im" in obj:
-            return complex(obj["re"], obj["im"])
+    try:
+        if isinstance(obj, str):
+            return Fraction(obj)
+        if isinstance(obj, dict):
+            if "num" in obj and "den" in obj:
+                return RatFunc(Poly(Fraction(c) for c in obj["num"]),
+                               Poly(Fraction(c) for c in obj["den"]))
+            if "a" in obj and "b" in obj:
+                return Omega(Fraction(obj["a"]), Fraction(obj["b"]))
+            if "re" in obj and "im" in obj:
+                return complex(obj["re"], obj["im"])
+    except ZeroDivisionError:
+        raise ParseError(f"division by zero in scalar JSON {obj!r}") from None
     raise ParseError(f"bad scalar JSON: {obj!r}")
 
 
@@ -357,6 +403,9 @@ def representation_from_json(obj: dict, eps: float = DEFAULT_EPS) -> Representat
         images = [matrix_from_json(mj, eps) for mj in obj["images"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad representation JSON: {exc}") from None
+    if not isinstance(braid_index, int) or isinstance(braid_index, bool):
+        raise ParseError(f"bad representation JSON: braid_index must be an integer, "
+                         f"got {braid_index!r}")
     meta_obj = obj.get("meta") or {}
     params = {k: (v if isinstance(v, int) else parse_scalar(v, eps))
               for k, v in (meta_obj.get("params") or {}).items()}

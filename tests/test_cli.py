@@ -69,6 +69,46 @@ def test_non_integer_braid_index_is_exit_2(capsys):
     assert "parse error: parameter 'n' must be an integer" in err
 
 
+@pytest.mark.parametrize("spec,message", [
+    ("burau(1/0)", "division by zero at position 1"),
+    ("xi(z/(z-z))", "division by zero at position 1"),
+    ("xi(z; n=201)", "parameter 'n' is 201, above the limit 200"),
+    ("xi(z^1025)", "power ^1025 at position 2 exceeds the size limit"),
+    ("xi(z^1000^1000)", "power ^1000 at position 7 exceeds the size limit"),
+])
+def test_zero_divisors_and_oversized_specs_are_exit_2(capsys, spec, message):
+    code, out, err = run(capsys, "show", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"parse error: {message}")
+
+
+def raw_rep(tmp_path, **changes):
+    payload = representation_to_json(families.burau3(Fraction(5, 7)))
+    payload.update(changes)
+    path = tmp_path / "rep.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+@pytest.mark.parametrize("braid_index", ["3", 3.0, True, None])
+def test_verify_raw_non_integer_braid_index_is_exit_2(capsys, tmp_path, braid_index):
+    code, _, err = run(capsys, "verify", "--raw", raw_rep(tmp_path, braid_index=braid_index))
+    assert code == 2
+    assert "parse error: bad representation JSON: braid_index must be an integer" in err
+
+
+def test_verify_raw_zero_divisor_is_exit_2(capsys, tmp_path):
+    code, _, err = run(capsys, "verify", "--raw",
+                       raw_rep(tmp_path, meta={"family": "burau", "params": {"z": "1/0"}}))
+    assert code == 2
+    assert "parse error: division by zero at position 1" in err
+    entries = [[{"num": ["1"], "den": ["0"]}]]
+    images = [{"rows": 1, "cols": 1, "entries": entries}] * 2
+    code, _, err = run(capsys, "verify", "--raw", raw_rep(tmp_path, images=images))
+    assert code == 2
+    assert "division by zero in scalar JSON {'num': ['1'], 'den': ['0']}" in err
+
+
 @pytest.mark.parametrize("module", ["braidrep", "braidrep.cli"])
 def test_python_dash_m_runs_the_cli(capsys, module):
     env = dict(os.environ, PYTHONPATH=str(Path(braidrep.__file__).parents[1]))

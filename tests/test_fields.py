@@ -50,6 +50,29 @@ def test_gcd_divides_both_and_is_divided_by_common_divisors():
         assert (g % d).is_zero()
 
 
+def test_poly_built_from_ints_or_fractions_is_one_value():
+    pairs = [(Poly([1, 2, 3]), Poly([Fraction(1), Fraction(4, 2), Fraction(3)])),
+             (Poly([0, 0]), Poly([Fraction(0)])),
+             (Poly([Fraction(1, 2), 1]), Poly([1, 2]).scale(Fraction(1, 2))),
+             (Poly([6, 0, 0]), Poly.const(Fraction(12, 2)))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert Poly([1, 2]) != Poly([Fraction(1, 2), 1])
+    assert RatFunc(Poly([2, 4])) == RatFunc(Poly([Fraction(2), Fraction(4)]), Poly([1]))
+    assert hash(RatFunc(Poly([2, 4]), Poly([2]))) == hash(RatFunc(Poly([1, 2])))
+
+
+def test_poly_coefficients_are_fractions():
+    p = Poly([Fraction(1, 2), 0, 3]) * 2
+    assert p.coeffs == (Fraction(1), Fraction(0), Fraction(6))
+    assert all(type(c) is Fraction for c in p.coeffs)
+    assert type(p.coeff(1)) is Fraction and type(p.coeff(7)) is Fraction
+    assert type(p.lead) is Fraction and p.lead == 6
+    assert Poly().coeffs == () and Poly([0, 0]).degree == -1
+    assert repr(Poly([Fraction(1, 2), 1])) == "Poly([Fraction(1, 2), Fraction(1, 1)])"
+
+
 # -- canonical fractions -----------------------------------------------------
 
 def test_normalize_cancels():

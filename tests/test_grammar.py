@@ -13,6 +13,8 @@ from braidrep import (CC, Matrix, Omega, ParseError, QQ, QW, QZ, RatFunc,
                       scalar_from_json, scalar_to_json, scalar_to_latex,
                       specialize, theorem1_i, verify_braid_relations)
 
+from braidrep.grammar import MAX_POWER_BITS, MAX_POWER_DEGREE, MAX_XI_BRAID_INDEX
+
 from _gen import rand_fraction, rand_omega, rand_ratfunc
 
 
@@ -61,6 +63,32 @@ def test_parse_errors_carry_position():
         parse_scalar("z + omega")
     with pytest.raises(ParseError):
         parse_scalar("q + 1")
+
+
+def test_zero_divisor_is_a_parse_error_naming_the_slash():
+    for text, at in [("1/0", 1), ("z/(z-z)", 1), ("omega/(omega-omega)", 5), ("2.0/0.0", 3)]:
+        with pytest.raises(ParseError, match=f"^division by zero at position {at}$"):
+            parse_scalar(text)
+    with pytest.raises(ParseError, match=r"^division by zero in scalar JSON '3/0'$"):
+        scalar_from_json("3/0")
+
+
+def test_powers_are_capped_before_they_are_computed():
+    assert parse_scalar(f"z^{MAX_POWER_DEGREE}").num.degree == MAX_POWER_DEGREE
+    assert parse_scalar(f"(z^2)^{MAX_POWER_DEGREE // 2}") == parse_scalar(f"z^{MAX_POWER_DEGREE}")
+    for text in [f"z^{MAX_POWER_DEGREE + 1}", f"(z^2)^{MAX_POWER_DEGREE // 2 + 1}",
+                 f"(3/2)^{MAX_POWER_BITS // 2 + 1}", f"(z+1000)^{MAX_POWER_BITS // 10 + 1}",
+                 f"omega^{MAX_POWER_BITS + 1}", "z^1000^1000"]:
+        with pytest.raises(ParseError, match="exceeds the size limit"):
+            parse_scalar(text)
+    assert parse_scalar(f"(3/2)^{MAX_POWER_BITS // 2}") == Fraction(3, 2) ** (MAX_POWER_BITS // 2)
+    assert parse_scalar("1.0^100000") == complex(1.0)  # floats do not grow
+
+
+def test_xi_braid_index_is_capped():
+    assert parse_family_spec(f"xi(z; n={MAX_XI_BRAID_INDEX})").braid_index == MAX_XI_BRAID_INDEX
+    with pytest.raises(ParseError, match="above the limit"):
+        parse_family_spec(f"xi(z; n={MAX_XI_BRAID_INDEX + 1})")
 
 
 def test_point_rejects_symbols():

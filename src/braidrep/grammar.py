@@ -133,17 +133,21 @@ class _ScalarParser:
             ekind, etext, at = self.take()
             if ekind != "int":
                 raise ParseError(f"exponent must be an integer literal at position {at}")
-            k = int(etext)
+            k = _int_literal(etext, at)
             degree, bits = _size(base)
             if degree * k > MAX_POWER_DEGREE or bits * k > MAX_POWER_BITS:
                 raise ParseError(f"power ^{k} at position {at} exceeds the size limit "
                                  f"(degree {MAX_POWER_DEGREE}, {MAX_POWER_BITS} bits)")
-            base = base ** k
+            try:
+                base = base ** k
+            except OverflowError:  # a float base leaves the double range
+                raise ParseError(f"power ^{k} at position {at} overflows the "
+                                 f"floating field") from None
 
     def atom(self):
         kind, text, at = self.take()
         if kind == "int":
-            return self.field.of_int(int(text))
+            return self.field.of_int(_int_literal(text, at))
         if kind == "float":
             return self.field.coerce(float(text))
         if kind == "name":
@@ -155,6 +159,14 @@ class _ScalarParser:
             self.expect_op(")")
             return value
         raise ParseError(f"unexpected {'end of input' if kind is None else text!r} at position {at}")
+
+
+def _int_literal(text: str, at: int) -> int:
+    try:
+        return int(text)
+    except ValueError:  # longer than the interpreter's integer string limit
+        raise ParseError(f"integer literal of {len(text)} digits at position {at} "
+                         f"is too long") from None
 
 
 def _bits(q: Fraction) -> int:

@@ -4,12 +4,16 @@ Immutable row-major matrices with exact Gaussian-elimination services:
 reduced row echelon form, inverse, kernel bases, Kronecker products,
 conjugation, and characteristic polynomials of small matrices.  Exact
 fields pivot on the first nonzero entry; the floating field pivots by
-magnitude.
+magnitude.  Over QQ the elimination runs fraction-free on integers.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Sequence
+
+from .fields import QQ, ExactField
 
 
 class SingularMatrixError(ValueError):
@@ -162,22 +166,35 @@ class Matrix:
         return Matrix(self.rows - 1, self.cols - 1, ent, self.field)
 
     def kron(self, other: "Matrix") -> "Matrix":
-        """Kronecker product: block (i, j) is self[i, j] * other."""
+        """Kronecker product: block (i, j) is self[i, j] * other.
+
+        Over an exact field a zero entry gives a zero block without any
+        products.  Floating products are always taken, because 0.0 * x can
+        be -0.0, which prints differently.
+        """
         self._check_same_field(other)
+        field = self.field
+        skip_zeros = isinstance(field, ExactField)
+        zero_row = [field.zero] * other.cols
         ent = []
         for i in range(self.rows):
+            row = self.row(i)
             for r in range(other.rows):
-                for j in range(self.cols):
-                    a = self[i, j]
-                    for c in range(other.cols):
-                        ent.append(a * other[r, c])
-        return Matrix(self.rows * other.rows, self.cols * other.cols, ent, self.field)
+                orow = other.row(r)
+                for a in row:
+                    if skip_zeros and field.is_zero(a):
+                        ent.extend(zero_row)
+                    else:
+                        ent.extend([a * b for b in orow])
+        return Matrix(self.rows * other.rows, self.cols * other.cols, ent, field)
 
     # -- elimination --------------------------------------------------------
 
     def rref(self):
         """Reduced row echelon form and the tuple of pivot columns."""
         field = self.field
+        if field is QQ:
+            return _rational_rref(self)
         m = self.to_rows()
         pivots = []
         r = 0
@@ -253,6 +270,54 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
+
+
+def _rational_rref(a: Matrix):
+    """Gauss-Jordan over QQ, run fraction-free over ZZ.
+
+    Each row is first scaled by the lcm of its denominators, which leaves
+    the rref unchanged.  Pivoting is on the first nonzero entry, as over the
+    other exact fields, and every other row becomes (pv*x - f*y) / d with pv
+    the new pivot and d the previous one.  Every entry then stays a minor of
+    the scaled matrix, so the division is exact (Bareiss 1968; the
+    Gauss-Jordan form of Nakos, Turner and Williams 1997) and the integers
+    grow no larger than those minors.  All pivots end equal to the last
+    one, and the pivot rows are divided by it once.  The rref is unique, so
+    the result is the one a per-step loop over ``Fraction``s gives.
+    """
+    rows, cols = a.rows, a.cols
+    m = []
+    for i in range(rows):
+        row = a.row(i)
+        den = lcm(*(x.denominator for x in row))
+        m.append([x.numerator * (den // x.denominator) for x in row])
+    pivots = []
+    d = 1
+    for c in range(cols):
+        r = len(pivots)
+        if r == rows:
+            break
+        pivot_row = next((i for i in range(r, rows) if m[i][c]), None)
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        top = m[r]
+        pv = top[c]
+        for i in range(rows):
+            if i == r:
+                continue
+            f = m[i][c]
+            if f:
+                m[i] = [(pv * x - f * y) // d for x, y in zip(m[i], top)]
+            elif pv != d:
+                m[i] = [pv * x // d for x in m[i]]
+        pivots.append(c)
+        d = pv
+    rank = len(pivots)
+    zero = Fraction(0)
+    ent = [Fraction(x, d) if x else zero for i in range(rank) for x in m[i]]
+    ent += [zero] * ((rows - rank) * cols)
+    return Matrix(rows, cols, ent, QQ), tuple(pivots)
 
 
 def _normalize_leading_one(v: Matrix) -> Matrix:

@@ -82,6 +82,24 @@ def test_zero_divisors_and_oversized_specs_are_exit_2(capsys, spec, message):
     assert err.startswith(f"parse error: {message}")
 
 
+# one digit more than the interpreter converts from a string to an int
+LONG_LITERAL = "7" * (sys.get_int_max_str_digits() + 1)
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no integer string limit")
+@pytest.mark.parametrize("argv,message", [
+    (("show", "xi(1.5^100000)"), "power ^100000 at position 4 overflows the floating field"),
+    (("show", f"xi({LONG_LITERAL})"), "integer literal of {} digits at position 0 is too long"),
+    (("show", f"xi(z^{LONG_LITERAL})"), "integer literal of {} digits at position 2 is too long"),
+    (("specialize", "mu(z)", LONG_LITERAL),
+     "integer literal of {} digits at position 0 is too long"),
+], ids=["float-power-overflow", "long-literal", "long-exponent", "long-point"])
+def test_float_overflow_and_overlong_literals_are_exit_2(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"parse error: {message.format(len(LONG_LITERAL))}\n"
+
+
 def raw_rep(tmp_path, **changes):
     payload = representation_to_json(families.burau3(Fraction(5, 7)))
     payload.update(changes)

@@ -63,6 +63,24 @@ def test_poly_built_from_ints_or_fractions_is_one_value():
     assert hash(RatFunc(Poly([2, 4]), Poly([2]))) == hash(RatFunc(Poly([1, 2])))
 
 
+def test_omega_built_from_ints_or_fractions_is_one_value():
+    half = Fraction(1, 2)
+    pairs = [(Omega(3, 0), Omega(Fraction(6, 2), Fraction(0))),
+             (Omega(half, -1), Omega(Fraction(2, 4), Fraction(-3, 3))),
+             (Omega(0, 1) * Omega(0, 1), Omega(-1, -1)),
+             (Omega(half, half) * 2, Omega(1, 1)),
+             (Omega(0, 0), Omega(Fraction(0), 0))]
+    for a, b in pairs:
+        assert a == b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+    assert Omega(3, 0) == 3 and 3 == Omega(3, 0)
+    assert Omega(half, 0) == half and half == Omega(half, 0)
+    assert Omega(half, 1) != half and Omega(3, 1) != 3
+    assert Omega(1, half) != Omega(1, 1)
+    for v in (Omega(half, Fraction(-4, 3)), Omega(5, 0), Omega(0, 0)):
+        assert type(v.a) is Fraction and type(v.b) is Fraction
+
+
 def test_poly_coefficients_are_fractions():
     p = Poly([Fraction(1, 2), 0, 3]) * 2
     assert p.coeffs == (Fraction(1), Fraction(0), Fraction(6))

@@ -1,9 +1,10 @@
 """The exact kernel checked against sympy as an independent oracle.
 
 Polynomial gcd, division with remainder, the canonical form of a rational
-function, powers, and Gauss-Jordan services over QQ(z) are each computed
-by braidrep and by sympy on seeded random inputs; the results must agree
-exactly.  sympy is used only here, never by the library.
+function, powers, arithmetic in QQ(omega), and Gauss-Jordan services over
+QQ, QQ(z) and QQ(omega) are each computed by braidrep and by sympy on
+seeded random inputs; the results must agree exactly.  sympy is used only
+here, never by the library.
 """
 
 import random
@@ -15,12 +16,15 @@ sympy = pytest.importorskip("sympy")
 
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from braidrep import Matrix, Poly, QQ, QZ, RatFunc, poly_gcd  # noqa: E402
+from braidrep import Matrix, Omega, Poly, QQ, QW, QZ, RatFunc, poly_gcd  # noqa: E402
 
-from _gen import rand_fraction, rand_matrix, rand_poly, rand_ratfunc  # noqa: E402
+from _gen import (rand_fraction, rand_matrix, rand_omega, rand_poly,  # noqa: E402
+                  rand_ratfunc)
 
 z = sympy.symbols("z")
 KZ = sympy.QQ.frac_field(z)
+KW = sympy.QQ.algebraic_field(sympy.sqrt(-3))
+OMEGA = KW.from_sympy((-1 + sympy.sqrt(-3)) / 2)
 
 
 def sp_poly(p: Poly):
@@ -49,12 +53,21 @@ def to_kz(v: RatFunc):
     return KZ.convert(sp_poly(v.num).as_expr()) / KZ.convert(sp_poly(v.den).as_expr())
 
 
+def to_kw(v: Omega):
+    return KW.convert(sympy.QQ(v.a.numerator, v.a.denominator)) + \
+        KW.convert(sympy.QQ(v.b.numerator, v.b.denominator)) * OMEGA
+
+
 def sp_entry(field, v):
-    return to_kz(v) if field is QZ else sympy.QQ(v.numerator, v.denominator)
+    if field is QZ:
+        return to_kz(v)
+    if field is QW:
+        return to_kw(v)
+    return sympy.QQ(v.numerator, v.denominator)
 
 
 def to_dm(m: Matrix):
-    domain = KZ if m.field is QZ else sympy.QQ
+    domain = {QZ: KZ, QW: KW}.get(m.field, sympy.QQ)
     rows = [[sp_entry(m.field, m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
     return DomainMatrix(rows, (m.rows, m.cols), domain)
 
@@ -156,7 +169,34 @@ def test_ratfunc_arithmetic_matches_sympy():
         assert to_kz(a / b) == A / B
 
 
-# -- Gauss-Jordan over QQ(z) and QQ ------------------------------------------------
+# -- QQ(omega) --------------------------------------------------------------------
+
+def test_omega_arithmetic_matches_sympy():
+    rng = random.Random(310)
+    values = [rand_omega(rng) for _ in range(40)]
+    values += [Omega(0, 0), Omega(1, 0), Omega(0, 1), Omega(-1, -1),
+               Omega(Fraction(1, 2), Fraction(-1, 2)), Omega(Fraction(-7, 6), Fraction(5, 4))]
+    for _ in range(80):
+        a, b = rng.choice(values), rng.choice(values)
+        A, B = to_kw(a), to_kw(b)
+        assert to_kw(a + b) == A + B, (a, b)
+        assert to_kw(a - b) == A - B, (a, b)
+        assert to_kw(a * b) == A * B, (a, b)
+        assert to_kw(-a) == -A, a
+        if not b.is_zero():
+            assert to_kw(b.inv()) == KW.one / B, b
+            assert to_kw(a / b) == A / B, (a, b)
+    for v in values:
+        for n in range(-5, 6):
+            if n < 0 and v.is_zero():
+                with pytest.raises(ZeroDivisionError):
+                    v ** n
+                continue
+            base = to_kw(v) if n >= 0 else KW.one / to_kw(v)
+            assert to_kw(v ** n) == base ** abs(n), (v, n)
+
+
+# -- Gauss-Jordan over QQ(z), QQ and QQ(omega) ------------------------------------
 
 def small_ratfunc(rng):
     return rand_ratfunc(rng, 1)
@@ -170,10 +210,12 @@ def rank_deficient(rng, field, sampler, rows, cols):
     return Matrix.from_rows(top + [last], field)
 
 
-FIELDS = [(QZ, small_ratfunc), (QQ, lambda rng: rand_fraction(rng))]
+FIELDS = [(QZ, small_ratfunc), (QQ, lambda rng: rand_fraction(rng)),
+          (QW, lambda rng: rand_omega(rng))]
+FIELD_IDS = ["QQ(z)", "QQ", "QQ(omega)"]
 
 
-@pytest.mark.parametrize("field,sampler", FIELDS, ids=["QQ(z)", "QQ"])
+@pytest.mark.parametrize("field,sampler", FIELDS, ids=FIELD_IDS)
 def test_rref_matches_sympy(field, sampler):
     rng = random.Random(307)
     mats = [rand_matrix(rng, 3, field, sampler) for _ in range(4)]
@@ -185,7 +227,7 @@ def test_rref_matches_sympy(field, sampler):
         assert to_dm(red) == sred
 
 
-@pytest.mark.parametrize("field,sampler", FIELDS, ids=["QQ(z)", "QQ"])
+@pytest.mark.parametrize("field,sampler", FIELDS, ids=FIELD_IDS)
 def test_inverse_matches_sympy(field, sampler):
     rng = random.Random(308)
     checked = 0
@@ -198,7 +240,7 @@ def test_inverse_matches_sympy(field, sampler):
         checked += 1
 
 
-@pytest.mark.parametrize("field,sampler", FIELDS, ids=["QQ(z)", "QQ"])
+@pytest.mark.parametrize("field,sampler", FIELDS, ids=FIELD_IDS)
 def test_kernel_matches_sympy(field, sampler):
     rng = random.Random(309)
     for _ in range(4):
@@ -213,3 +255,64 @@ def test_kernel_matches_sympy(field, sampler):
         if basis:
             stacked = DomainMatrix.hstack(*[to_dm(v) for v in basis])
             assert stacked.rank() == len(basis)
+
+
+def shaped_rational(rng, rows, cols, pivots, zero_rows=()):
+    """A rows x cols rational matrix whose rref has exactly the given pivots.
+
+    The rows of a random echelon matrix with those pivot columns are mixed
+    by random rational combinations, then zero rows are put in at the
+    requested places, so pivot columns can be missing anywhere.
+    """
+    rank = len(pivots)
+    echelon = []
+    for k, p in enumerate(pivots):
+        row = [Fraction(0)] * cols
+        row[p] = Fraction(1)
+        for j in range(p + 1, cols):
+            if j not in pivots:
+                row[j] = rand_fraction(rng, -40, 40)
+        echelon.append(row)
+    while True:
+        mix = [[rand_fraction(rng) for _ in range(rank)] for _ in range(rows - len(zero_rows))]
+        if DomainMatrix([[sympy.QQ(c.numerator, c.denominator) for c in r] for r in mix],
+                        (len(mix), rank), sympy.QQ).rank() == rank:
+            break
+    out = [[sum((mix[i][k] * echelon[k][j] for k in range(rank)), Fraction(0))
+            for j in range(cols)] for i in range(len(mix))]
+    for i in sorted(zero_rows):
+        out.insert(i, [Fraction(0)] * cols)
+    return Matrix.from_rows(out, QQ)
+
+
+def test_rref_of_shaped_rank_deficient_rationals_matches_sympy():
+    rng = random.Random(311)
+    mats = [shaped_rational(rng, 4, 6, (0, 2, 5)),
+            shaped_rational(rng, 5, 7, (1, 3, 4), zero_rows=(2,)),
+            shaped_rational(rng, 3, 5, (0, 4), zero_rows=(0,)),
+            shaped_rational(rng, 6, 9, (0, 1, 4, 6, 8), zero_rows=(5,)),
+            shaped_rational(rng, 4, 4, (2,), zero_rows=(1, 3)),
+            Matrix.zero(3, 4, QQ)]
+    for _ in range(30):
+        rows, cols = rng.randint(2, 6), rng.randint(2, 9)
+        rank = rng.randint(1, min(rows, cols))
+        pivots = tuple(sorted(rng.sample(range(cols), rank)))
+        zero_rows = tuple(sorted(rng.sample(range(rows), rng.randint(0, rows - rank))))
+        mats.append(shaped_rational(rng, rows, cols, pivots, zero_rows))
+    # wide [M | I] blocks, as inverse builds them, with M invertible or not
+    for _ in range(10):
+        n = rng.randint(2, 5)
+        m = rand_matrix(rng, n, QQ, lambda r: rand_fraction(r))
+        if rng.random() < 0.5:
+            m = shaped_rational(rng, n, n, tuple(sorted(rng.sample(range(n), n - 1))))
+        ident = Matrix.identity(n, QQ)
+        mats.append(Matrix.from_rows([list(m.row(i)) + list(ident.row(i)) for i in range(n)], QQ))
+    for m in mats:
+        red, pivots = m.rref()
+        sred, spivots = to_dm(m).rref()
+        assert pivots == tuple(spivots), m.to_rows()
+        assert to_dm(red) == sred, m.to_rows()
+        basis = m.kernel()
+        assert len(basis) == m.cols - len(pivots)
+        for v in basis:
+            assert (to_dm(m) * to_dm(v)).is_zero_matrix

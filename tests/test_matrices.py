@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidrep import (Matrix, QQ, QZ, RatFunc, SingularMatrixError,
+from braidrep import (CC, Matrix, QQ, QZ, RatFunc, SingularMatrixError,
                       char_poly, conjugate, vstack)
 
 from _gen import rand_fraction, rand_invertible, rand_matrix
@@ -165,6 +165,26 @@ def test_kron_of_burau_sigma2():
         [ZERO, ZERO, -Z, -(Z * Z)],
         [ZERO, ZERO, ZERO, Z * Z]], QZ)
     assert got == expected
+
+
+def kron_by_definition(a, b):
+    return [[a[i // b.rows, j // b.cols] * b[i % b.rows, j % b.cols]
+             for j in range(a.cols * b.cols)] for i in range(a.rows * b.rows)]
+
+
+def test_kron_of_rectangular_matrices_with_zeros_matches_definition():
+    rng = random.Random(47)
+    for _ in range(10):
+        a = Matrix(2, 3, [rand_fraction(rng, -2, 2) for _ in range(6)], QQ)
+        b = Matrix(3, 2, [rand_fraction(rng) for _ in range(6)], QQ)
+        assert a.kron(b).to_rows() == kron_by_definition(a, b)
+    # floating products are taken even for zeros: 0.0 * -2.0 is -0.0
+    a = Matrix.from_rows([[0.0, 1.5]], CC)
+    b = Matrix.from_rows([[-2.0], [3.0]], CC)
+    got = a.kron(b)
+    assert [repr(x) for x in got.entries] == \
+        [repr(x) for row in kron_by_definition(a, b) for x in row]
+    assert repr(got[0, 0]) == "(-0+0j)"
 
 
 def test_kron_identities():

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .matrices import Matrix, SingularMatrixError, hstack, vstack
+from .matrices import Matrix, hstack, vstack
 from .families import Representation, RepMeta, make_representation, xi
 
 DEFAULT_SEED = 12345
@@ -137,12 +137,10 @@ def common_invariant_lines(r: Representation, side: str = "right") -> list:
     """
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
-    field = r.images[0].field
     images = r.images if side == "right" else [m.transpose() for m in r.images]
-    ident = Matrix.identity(r.dimension, field)
     lines = []
     for lam in _candidate_eigenvalues(r):
-        stacked = vstack([m - ident.scale(lam) for m in images])
+        stacked = vstack([m.sub_scalar(lam) for m in images])
         for v in stacked.kernel():
             lines.append(InvariantLine(lam, v, side))
     return lines
@@ -259,11 +257,8 @@ def is_isomorphic(r1: Representation, r2: Representation, *,
         return IsomorphismReport("no")
     field = r1.field
     for m in basis:
-        try:
-            m.inverse()
+        if m.is_invertible():
             return IsomorphismReport("yes", m)
-        except SingularMatrixError:
-            pass
     if len(basis) == 1:
         return IsomorphismReport("no")
     rng = random.Random(seed)
@@ -271,9 +266,6 @@ def is_isomorphic(r1: Representation, r2: Representation, *,
         combo = Matrix.zero(r2.dimension, r1.dimension, field)
         for m in basis:
             combo = combo + m.scale(field.lift(Fraction(rng.randint(-9, 9))))
-        try:
-            combo.inverse()
+        if combo.is_invertible():
             return IsomorphismReport("yes", combo, trials=t + 1)
-        except SingularMatrixError:
-            continue
     return IsomorphismReport("undecided", trials=trials)

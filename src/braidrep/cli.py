@@ -15,7 +15,7 @@ from .fields import DEFAULT_EPS, TagMismatchError, format_scalar
 from .families import Representation, specialize
 from .analysis import (DEFAULT_SEED, DecompositionError, is_isomorphic,
                        split_once, verify_braid_relations)
-from .grammar import (ParseError, format_spec, matrix_to_json,
+from .grammar import (MAX_RAW_BYTES, ParseError, format_spec, matrix_to_json,
                       parse_family_spec, parse_point, representation_from_json,
                       representation_to_json, representation_to_latex,
                       scalar_to_json)
@@ -72,10 +72,26 @@ def _emit(args, text: str):
         print(text)
 
 
+def _render(func, *values) -> str:
+    """The output text func(*values), with the interpreter's integer digit
+    limit reported as a domain error of the render stage."""
+    try:
+        return func(*values)
+    except ValueError as exc:
+        if "integer string conversion" not in str(exc):
+            raise
+        raise ValueError(f"render: the result holds an integer of more than "
+                         f"{sys.get_int_max_str_digits()} digits, the limit for "
+                         f"printing one") from None
+
+
 def _load(args) -> Representation:
     if getattr(args, "raw", None):
-        with open(args.raw) as handle:
-            return representation_from_json(json.load(handle), args.epsilon)
+        with open(args.raw, "rb") as handle:
+            data = handle.read(MAX_RAW_BYTES + 1)
+        if len(data) > MAX_RAW_BYTES:
+            raise ParseError(f"--raw file is larger than the limit of {MAX_RAW_BYTES} bytes")
+        return representation_from_json(json.loads(data.decode()), args.epsilon)
     if not args.spec:
         raise ParseError("missing spec argument (or --raw PATH)")
     return parse_family_spec(args.spec, args.epsilon)
@@ -101,7 +117,7 @@ def _verification_payload(report) -> dict:
 
 def _cmd_show(args) -> int:
     rep = _load(args)
-    _emit(args, _render_representation(rep, args.format))
+    _emit(args, _render(_render_representation, rep, args.format))
     return 0
 
 
@@ -128,6 +144,21 @@ def _decomposition_payload(report) -> dict:
     }
 
 
+def _render_decomposition(report, fmt: str) -> str:
+    if fmt == "json":
+        return json.dumps(_decomposition_payload(report), indent=2)
+    lines = ["basis change:", report.basis_change.pretty(format_scalar)]
+    for w in report.witnesses:
+        lines.append(f"{w.side} line, eigenvalue {format_scalar(w.eigenvalue)}: "
+                     f"({', '.join(format_scalar(e) for e in w.vector.entries)})")
+    for k, block in enumerate(report.blocks, start=1):
+        lines.append(f"block {k} ({block.dimension}-dimensional):")
+        for i, m in enumerate(block.images, start=1):
+            lines.append(f"  sigma_{i} ->")
+            lines.append(m.pretty(format_scalar))
+    return "\n".join(lines)
+
+
 def _cmd_decompose(args) -> int:
     rep = _load(args)
     try:
@@ -135,19 +166,7 @@ def _cmd_decompose(args) -> int:
     except DecompositionError as exc:
         _emit(args, f"decomposition failed: {exc}")
         return 1
-    if args.format == "json":
-        _emit(args, json.dumps(_decomposition_payload(report), indent=2))
-    else:
-        lines = ["basis change:", report.basis_change.pretty(format_scalar)]
-        for w in report.witnesses:
-            lines.append(f"{w.side} line, eigenvalue {format_scalar(w.eigenvalue)}: "
-                         f"({', '.join(format_scalar(e) for e in w.vector.entries)})")
-        for k, block in enumerate(report.blocks, start=1):
-            lines.append(f"block {k} ({block.dimension}-dimensional):")
-            for i, m in enumerate(block.images, start=1):
-                lines.append(f"  sigma_{i} ->")
-                lines.append(m.pretty(format_scalar))
-        _emit(args, "\n".join(lines))
+    _emit(args, _render(_render_decomposition, report, args.format))
     return 0
 
 
@@ -155,23 +174,27 @@ def _cmd_specialize(args) -> int:
     rep = _load(args)
     point = parse_point(args.point, args.epsilon)
     result = specialize(rep, point, eps=args.epsilon)
-    _emit(args, _render_representation(result, args.format))
+    _emit(args, _render(_render_representation, result, args.format))
     return 0
+
+
+def _render_isomorphism(report, fmt: str) -> str:
+    if fmt == "json":
+        payload = {"verdict": report.verdict}
+        if report.conjugator is not None:
+            payload["conjugator"] = matrix_to_json(report.conjugator)
+        return json.dumps(payload, indent=2)
+    lines = [f"verdict: {report.verdict}"]
+    if report.conjugator is not None:
+        lines.append(report.conjugator.pretty(format_scalar))
+    return "\n".join(lines)
 
 
 def _cmd_isomorphic(args) -> int:
     r1 = parse_family_spec(args.spec1, args.epsilon)
     r2 = parse_family_spec(args.spec2, args.epsilon)
     report = is_isomorphic(r1, r2, seed=args.seed)
-    if args.format == "json":
-        payload = {"verdict": report.verdict}
-        if report.conjugator is not None:
-            payload["conjugator"] = matrix_to_json(report.conjugator)
-        _emit(args, json.dumps(payload, indent=2))
-    else:
-        _emit(args, f"verdict: {report.verdict}")
-        if report.conjugator is not None:
-            _emit(args, report.conjugator.pretty(format_scalar))
+    _emit(args, _render(_render_isomorphism, report, args.format))
     return 0 if report.verdict == "yes" else 1
 
 

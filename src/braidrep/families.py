@@ -18,7 +18,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .fields import DEFAULT_EPS, FloatField, PoleError, QZ, RatFunc, field_of, join
-from .matrices import Matrix, block_diag
+from .matrices import Matrix, SingularMatrixError, block_diag
 
 
 class ParameterError(ValueError):
@@ -91,7 +91,8 @@ def make_representation(braid_index: int, images: Sequence[Matrix],
             raise ParameterError("dimension mismatch: images must be square and equal-sized")
         if m.field != images[0].field:
             raise ParameterError("field mismatch between generator images")
-        m.inverse()  # raises SingularMatrixError("not invertible") for bad input
+        if not m.is_invertible():
+            raise SingularMatrixError("not invertible")
     return Representation(braid_index, images, meta)
 
 

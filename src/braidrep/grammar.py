@@ -25,12 +25,16 @@ class ParseError(ValueError):
 
 
 # Size limits that keep any spec cheap to parse and build: the braid index
-# of ``xi`` (its relation check is quadratic in it) and the result of one
+# of ``xi`` (its relation check is quadratic in it), the result of one
 # ``^`` (binary powering is fast, but chained powers such as z^1000^1000
-# grow without bound).
+# grow without bound), and the length of the input itself, which bounds
+# how many in-cap powers one spec or point can hold, and the size of a
+# ``--raw`` file.
 MAX_XI_BRAID_INDEX = 200
 MAX_POWER_DEGREE = 1024
 MAX_POWER_BITS = 4096
+MAX_SPEC_CHARS = 20_000
+MAX_RAW_BYTES = 1_000_000
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +222,7 @@ def parse_scalar(text: str, eps: float = DEFAULT_EPS):
 
 def parse_point(text: str, eps: float = DEFAULT_EPS):
     """Parse a specialization point: exact rational, omega expression or float."""
+    _check_length(text, "point")
     value = parse_scalar(text, eps)
     if isinstance(value, RatFunc):
         raise ParseError("a specialization point cannot contain z")
@@ -260,8 +265,15 @@ def _split_top_level(text: str, sep: str) -> list:
     return parts
 
 
+def _check_length(text: str, what: str):
+    if len(text) > MAX_SPEC_CHARS:
+        raise ParseError(f"{what} of {len(text)} characters is longer than the "
+                         f"limit {MAX_SPEC_CHARS}")
+
+
 def parse_family_spec(text: str, eps: float = DEFAULT_EPS) -> Representation:
     """Build the representation named by a family-spec string."""
+    _check_length(text, "spec")
     text = text.strip()
     m = re.fullmatch(r"([A-Za-z_][A-Za-z_0-9]*)\s*(?:\((.*)\))?", text, re.S)
     if m is None:

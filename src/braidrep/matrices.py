@@ -4,7 +4,8 @@ Immutable row-major matrices with exact Gaussian-elimination services:
 reduced row echelon form, inverse, kernel bases, Kronecker products,
 conjugation, and characteristic polynomials of small matrices.  Exact
 fields pivot on the first nonzero entry; the floating field pivots by
-magnitude.  Over QQ the elimination runs fraction-free on integers.
+magnitude.  Over QQ the elimination and the invertibility test run
+fraction-free on integers.
 """
 
 from __future__ import annotations
@@ -124,6 +125,25 @@ class Matrix:
     def scale(self, s) -> "Matrix":
         s = self.field.coerce(s)
         return Matrix(self.rows, self.cols, [s * a for a in self.entries], self.field)
+
+    def sub_scalar(self, lam) -> "Matrix":
+        """self - lam * I.
+
+        Over an exact field only the diagonal changes.  The floating field
+        subtracts lam * I entry by entry, because 0.0 * lam can be -0.0 and
+        x - (-0.0) turns a -0.0 entry into +0.0, which prints differently.
+        """
+        n = self.rows
+        if n != self.cols:
+            raise ValueError("sub_scalar requires a square matrix")
+        field = self.field
+        lam = field.coerce(lam)
+        if not isinstance(field, ExactField):
+            return self - Matrix.identity(n, field).scale(lam)
+        ent = list(self.entries)
+        for k in range(0, n * n, n + 1):
+            ent[k] = ent[k] - lam
+        return Matrix(n, n, ent, field)
 
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
@@ -257,6 +277,23 @@ class Matrix:
             raise SingularMatrixError("not invertible")
         return Matrix(n, n, [red[i, n + j] for i in range(n) for j in range(n)], field)
 
+    def is_invertible(self) -> bool:
+        """Whether the square matrix has an inverse.
+
+        Over QQ a forward fraction-free elimination on integers decides it
+        without computing the inverse (``_rational_is_invertible``); the
+        other fields run the Gauss-Jordan of ``inverse``.
+        """
+        if self.rows != self.cols:
+            raise ValueError("inverse requires a square matrix")
+        if self.field is QQ:
+            return _rational_is_invertible(self)
+        try:
+            self.inverse()
+        except SingularMatrixError:
+            return False
+        return True
+
     # -- display ------------------------------------------------------------
 
     def pretty(self, render=str) -> str:
@@ -270,6 +307,36 @@ class Matrix:
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
+
+
+def _integer_row(values) -> list:
+    """Some rationals scaled to integers by the lcm of their denominators."""
+    den = lcm(*(x.denominator for x in values))
+    return [x.numerator * (den // x.denominator) for x in values]
+
+
+def _rational_is_invertible(a: Matrix) -> bool:
+    """Invertibility over QQ by forward fraction-free elimination on ZZ.
+
+    Rows are scaled to integers as in ``_rational_rref``.  Each step pivots
+    on the first remaining row with a nonzero leading entry pv, and every
+    other remaining row becomes (pv*x - f*y) / d with d the previous pivot,
+    dropping the pivot column.  The entries stay minors of the scaled
+    matrix, so the division is exact (Bareiss 1968).  The matrix is
+    singular exactly when some column has no pivot.  There is no [M | I],
+    no back-substitution and no ``Fraction``.
+    """
+    m = [_integer_row(a.row(i)) for i in range(a.rows)]
+    d = 1
+    while m:
+        k = next((k for k, row in enumerate(m) if row[0]), None)
+        if k is None:
+            return False
+        top = m.pop(k)
+        pv = top[0]
+        m = [[(pv * x - row[0] * y) // d for x, y in zip(row[1:], top[1:])] for row in m]
+        d = pv
+    return True
 
 
 def _rational_rref(a: Matrix):
@@ -286,11 +353,7 @@ def _rational_rref(a: Matrix):
     the result is the one a per-step loop over ``Fraction``s gives.
     """
     rows, cols = a.rows, a.cols
-    m = []
-    for i in range(rows):
-        row = a.row(i)
-        den = lcm(*(x.denominator for x in row))
-        m.append([x.numerator * (den // x.denominator) for x in row])
+    m = [_integer_row(a.row(i)) for i in range(rows)]
     pivots = []
     d = 1
     for c in range(cols):

@@ -192,7 +192,6 @@ def check_ac04(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     z = _z()
     one = QZ.one
     d = fam.mu(z).images[1]
-    ident = Matrix.identity(3, QZ)
     w = z * z + z + one
     expected = {
         "1": (one, Matrix.column([one, QZ.of_int(-2), one], QZ)),
@@ -202,7 +201,7 @@ def check_ac04(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
              (2 * z * z + 2 * z + 2 * one) / z, one], QZ)),
     }
     for label, (lam, vec) in expected.items():
-        basis = (d - ident.scale(lam)).kernel()
+        basis = d.sub_scalar(lam).kernel()
         want = vec.scale(QZ.inv(vec.entries[0]))  # leading-one normalization
         if len(basis) != 1 or basis[0] != want:
             _fail(result, f"eigenvalue {label}",

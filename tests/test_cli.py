@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import braidrep
-from braidrep import analysis, cli, families
+from braidrep import analysis, cli, families, grammar
 from braidrep.grammar import representation_to_json, scalar_from_json
 from braidrep.matrices import Matrix
 from braidrep.fields import QQ
@@ -98,6 +98,55 @@ def test_float_overflow_and_overlong_literals_are_exit_2(capsys, argv, message):
     code, out, err = run(capsys, *argv)
     assert (code, out) == (2, "")
     assert err == f"parse error: {message.format(len(LONG_LITERAL))}\n"
+
+
+# under the interpreter's integer string limit, so each literal parses; the
+# product and mu's z^4 hold more digits than the limit lets print
+DIGITS_4000 = "7" * 4000
+
+
+@pytest.mark.skipif(sys.get_int_max_str_digits() == 0, reason="no integer string limit")
+@pytest.mark.parametrize("argv", [
+    ("show", f"xi({DIGITS_4000}*{DIGITS_4000})"),
+    ("show", f"xi({DIGITS_4000}*{DIGITS_4000})", "--format", "json"),
+    ("show", f"mu({DIGITS_4000}/3)"),
+    ("specialize", "mu(z)", f"{DIGITS_4000}/3", "--format", "latex"),
+], ids=["text", "json", "mu", "specialize-latex"])
+def test_output_over_the_digit_limit_is_a_render_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err == (f"error: render: the result holds an integer of more than "
+                   f"{sys.get_int_max_str_digits()} digits, the limit for printing one\n")
+
+
+def test_spec_and_point_length_caps(capsys):
+    cap = grammar.MAX_SPEC_CHARS
+    at_cap = "xi(" + " " * (cap - 5) + "2)"
+    assert len(at_cap) == cap
+    assert run(capsys, "show", at_cap)[0] == 0
+    code, out, err = run(capsys, "show", at_cap + " ")
+    assert (code, out) == (2, "")
+    assert err == f"parse error: spec of {cap + 1} characters is longer than the limit {cap}\n"
+    code, _, err = run(capsys, "isomorphic", "xi(2)", at_cap + " ")
+    assert code == 2 and "spec of" in err
+    code, _, err = run(capsys, "specialize", "mu(z)", " " * (cap - 1) + "2")
+    assert code == 0
+    code, out, err = run(capsys, "specialize", "mu(z)", " " * cap + "2")
+    assert (code, out) == (2, "")
+    assert err == f"parse error: point of {cap + 1} characters is longer than the limit {cap}\n"
+
+
+def test_raw_file_size_cap(capsys, tmp_path):
+    cap = grammar.MAX_RAW_BYTES
+    text = json.dumps(representation_to_json(families.burau3(Fraction(5, 7))))
+    path = tmp_path / "rep.json"
+    path.write_text(text + " " * (cap - len(text)))
+    assert path.stat().st_size == cap
+    assert run(capsys, "verify", "--raw", str(path))[0] == 0
+    path.write_text(text + " " * (cap + 1 - len(text)))
+    code, out, err = run(capsys, "verify", "--raw", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"parse error: --raw file is larger than the limit of {cap} bytes\n"
 
 
 def raw_rep(tmp_path, **changes):
@@ -289,6 +338,17 @@ def test_suite_passes_and_is_deterministic(capsys):
     statuses = {c["id"]: c["status"] for c in payload["checks"]}
     assert statuses["AC01"] == "pass"
     assert statuses["OQ01"] == statuses["OQ02"] == "reported"
+
+
+def test_suite_output_survives_python_dash_o():
+    # certificates are real errors, not asserts that -O strips
+    env = dict(os.environ, PYTHONPATH=str(Path(braidrep.__file__).parents[1]))
+    argv = ["-m", "braidrep", "suite", "--format", "json"]
+    runs = [subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True,
+                           timeout=120) for flags in ([], ["-O"])]
+    plain, optimized = runs
+    assert plain.returncode == 0
+    assert (optimized.returncode, optimized.stdout) == (plain.returncode, plain.stdout)
 
 
 def test_suite_on_corrupted_build_names_failing_check(capsys, monkeypatch):

@@ -73,10 +73,6 @@ class DecompositionReport:
 class IsomorphismReport:
     verdict: str  # "yes", "no" or "undecided"
     conjugator: Optional[Matrix] = None
-    trials: int = 0
-
-    def __bool__(self) -> bool:
-        return self.verdict == "yes"
 
 
 # ---------------------------------------------------------------------------
@@ -242,12 +238,12 @@ def intertwiners(r1: Representation, r2: Representation) -> list:
 
 
 def is_isomorphic(r1: Representation, r2: Representation, *,
-                  trials: int = 32, seed: int = DEFAULT_SEED) -> IsomorphismReport:
+                  seed: int = DEFAULT_SEED) -> IsomorphismReport:
     """Look for an invertible intertwiner.
 
     A one-element basis is tested directly; larger spaces are probed with
-    seeded random rational combinations, and exhausting the trial budget
-    yields "undecided" rather than a false negative (false positives are
+    32 seeded random rational combinations, and exhausting them yields
+    "undecided" rather than a false negative (false positives are
     impossible over exact fields).
     """
     if r1.dimension != r2.dimension or r1.braid_index != r2.braid_index:
@@ -262,10 +258,10 @@ def is_isomorphic(r1: Representation, r2: Representation, *,
     if len(basis) == 1:
         return IsomorphismReport("no")
     rng = random.Random(seed)
-    for t in range(trials):
+    for _ in range(32):
         combo = Matrix.zero(r2.dimension, r1.dimension, field)
         for m in basis:
             combo = combo + m.scale(field.lift(Fraction(rng.randint(-9, 9))))
         if combo.is_invertible():
-            return IsomorphismReport("yes", combo, trials=t + 1)
-    return IsomorphismReport("undecided", trials=trials)
+            return IsomorphismReport("yes", combo)
+    return IsomorphismReport("undecided")

@@ -87,11 +87,18 @@ def _render(func, *values) -> str:
 
 def _load(args) -> Representation:
     if getattr(args, "raw", None):
-        with open(args.raw, "rb") as handle:
-            data = handle.read(MAX_RAW_BYTES + 1)
+        try:
+            with open(args.raw, "rb") as handle:
+                data = handle.read(MAX_RAW_BYTES + 1)
+        except OSError as exc:
+            raise ParseError(f"cannot read --raw file {args.raw}: {exc.strerror}") from None
         if len(data) > MAX_RAW_BYTES:
             raise ParseError(f"--raw file is larger than the limit of {MAX_RAW_BYTES} bytes")
-        return representation_from_json(json.loads(data.decode()), args.epsilon)
+        try:
+            obj = json.loads(data.decode())
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, too deep
+            raise ParseError(f"--raw file {args.raw} is not UTF-8 JSON: {exc}") from None
+        return representation_from_json(obj, args.epsilon)
     if not args.spec:
         raise ParseError("missing spec argument (or --raw PATH)")
     return parse_family_spec(args.spec, args.epsilon)
@@ -105,7 +112,7 @@ def _render_representation(rep: Representation, fmt: str) -> str:
     lines = [f"family: {format_spec(rep.meta)}"]
     for i, m in enumerate(rep.images, start=1):
         lines.append(f"sigma_{i} ->")
-        lines.append(m.pretty(format_scalar))
+        lines.append(m.pretty())
     return "\n".join(lines)
 
 
@@ -147,7 +154,7 @@ def _decomposition_payload(report) -> dict:
 def _render_decomposition(report, fmt: str) -> str:
     if fmt == "json":
         return json.dumps(_decomposition_payload(report), indent=2)
-    lines = ["basis change:", report.basis_change.pretty(format_scalar)]
+    lines = ["basis change:", report.basis_change.pretty()]
     for w in report.witnesses:
         lines.append(f"{w.side} line, eigenvalue {format_scalar(w.eigenvalue)}: "
                      f"({', '.join(format_scalar(e) for e in w.vector.entries)})")
@@ -155,7 +162,7 @@ def _render_decomposition(report, fmt: str) -> str:
         lines.append(f"block {k} ({block.dimension}-dimensional):")
         for i, m in enumerate(block.images, start=1):
             lines.append(f"  sigma_{i} ->")
-            lines.append(m.pretty(format_scalar))
+            lines.append(m.pretty())
     return "\n".join(lines)
 
 
@@ -186,7 +193,7 @@ def _render_isomorphism(report, fmt: str) -> str:
         return json.dumps(payload, indent=2)
     lines = [f"verdict: {report.verdict}"]
     if report.conjugator is not None:
-        lines.append(report.conjugator.pretty(format_scalar))
+        lines.append(report.conjugator.pretty())
     return "\n".join(lines)
 
 

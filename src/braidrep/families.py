@@ -96,10 +96,8 @@ def make_representation(braid_index: int, images: Sequence[Matrix],
     return Representation(braid_index, images, meta)
 
 
-def raw(images: Sequence[Matrix], braid_index: Optional[int] = None,
-        meta: Optional[RepMeta] = None) -> Representation:
-    n = braid_index if braid_index is not None else len(images) + 1
-    return make_representation(n, images, meta or RepMeta("raw"))
+def raw(images: Sequence[Matrix], meta: Optional[RepMeta] = None) -> Representation:
+    return make_representation(len(images) + 1, images, meta or RepMeta("raw"))
 
 
 # ---------------------------------------------------------------------------

@@ -237,12 +237,6 @@ class Poly:
         m *= self.den
         return _poly([x * other.den for x in q], m), _poly(r, m)
 
-    def __floordiv__(self, other):
-        return divmod(self, other)[0]
-
-    def __mod__(self, other):
-        return divmod(self, other)[1]
-
     def scale(self, c) -> "Poly":
         c = _as_fraction(c)
         return _poly([a * c.numerator for a in self.nums], self.den * c.denominator)
@@ -293,7 +287,7 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
     def __str__(self):
-        return format_poly(self)
+        return signed_sum(poly_terms(self, "z^{}"), _TEXT_STYLE)
 
 
 _ZERO, _ONE = _poly([]), _poly([1])
@@ -372,10 +366,6 @@ class RatFunc:
         self.den = den
 
     @classmethod
-    def const(cls, c) -> "RatFunc":
-        return cls(Poly.const(c))
-
-    @classmethod
     def gen(cls) -> "RatFunc":
         return cls(Poly.gen())
 
@@ -385,10 +375,8 @@ class RatFunc:
     def _coerce(self, other):
         if isinstance(other, RatFunc):
             return other
-        if isinstance(other, Poly):
+        if isinstance(other, (Poly, int, Fraction)) and not isinstance(other, bool):
             return RatFunc(other)
-        if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            return RatFunc.const(other)
         return None
 
     def __add__(self, other):
@@ -597,7 +585,6 @@ class ExactField:
     zero and ``inv`` inverts a nonzero element.
     """
 
-    uses_magnitude_pivot = False
     eq = staticmethod(operator.eq)
 
     def __init__(self, name: str, scalar: type, lift, is_zero, inv):
@@ -634,7 +621,6 @@ class FloatField:
     """Complex floating pairs; equality is scale-relative within eps."""
 
     name = "CC"
-    uses_magnitude_pivot = True
     zero = complex(0)
     one = complex(1)
 
@@ -726,68 +712,49 @@ def to_complex(value) -> complex:
 # Canonical text forms
 
 
-def _coeff_factor(c: Fraction) -> str:
-    return str(c) if c.denominator == 1 else f"({c})"
+def signed_sum(terms, style) -> str:
+    """Join (coefficient, monomial) pairs into one sum with explicit signs.
 
-
-def _signed_terms(terms) -> str:
-    """Join (coefficient, body) pairs with explicit signs, descending order."""
-    parts = []
-    for c, body in terms:
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f" + {body}" if c > 0 else f" - {body}")
-    return "".join(parts)
-
-
-def format_poly(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
-    terms = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if c == 0:
+    Coefficients are rationals, in print order; the monomial None marks the
+    constant term, and zero coefficients are skipped.  ``style`` is
+    (constant form, coefficient form, spacing around signs): the constant
+    form writes a magnitude standing alone, the coefficient form one set
+    before a monomial, where a magnitude of 1 is left out.  The empty sum
+    is "0".
+    """
+    const, coeff, pad = style
+    out = ""
+    for c, mono in terms:
+        if not c:
             continue
         mag = abs(c)
-        if k == 0:
-            body = str(mag)
+        body = const(mag) if mono is None else mono if mag == 1 else coeff(mag) + mono
+        if out:
+            out += f"{pad}{'+' if c > 0 else '-'}{pad}{body}"
         else:
-            var = "z" if k == 1 else f"z^{k}"
-            body = var if mag == 1 else f"{_coeff_factor(mag)}*{var}"
-        terms.append((c, body))
-    return _signed_terms(terms)
+            out = body if c > 0 else "-" + body
+    return out or "0"
 
 
-def _format_omega(v: Omega) -> str:
-    if v.b == 0:
-        return str(v.a)
-    terms = []
-    if v.a != 0:
-        terms.append((v.a, str(abs(v.a))))
-    mag = abs(v.b)
-    terms.append((v.b, "omega" if mag == 1 else f"{_coeff_factor(mag)}*omega"))
-    return _signed_terms(terms)
+def poly_terms(p: Poly, power: str) -> list:
+    """The (coefficient, monomial) pairs of p, highest degree first;
+    ``power`` formats z^k for k > 1."""
+    return [(p.coeff(k), None if k == 0 else "z" if k == 1 else power.format(k))
+            for k in range(p.degree, -1, -1)]
 
 
-def _format_complex(v: complex) -> str:
-    if v.imag == 0:
-        return repr(v.real)
-    return repr(v)
+_TEXT_STYLE = (str, lambda c: f"{c}*" if c.denominator == 1 else f"({c})*", " ")
 
 
 def format_scalar(v) -> str:
     """Parseable canonical text for any scalar value."""
-    if isinstance(v, Fraction):
-        return str(v)
-    if isinstance(v, int) and not isinstance(v, bool):
-        return str(v)
+    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
+        return signed_sum([(v, None)], _TEXT_STYLE)
     if isinstance(v, RatFunc):
-        if v.den == Poly.const(1):
-            return format_poly(v.num)
-        return f"({format_poly(v.num)})/({format_poly(v.den)})"
+        return str(v.num) if v.den.degree == 0 else f"({v.num})/({v.den})"
     if isinstance(v, Omega):
-        return _format_omega(v)
+        return signed_sum([(v.a, None), (v.b, "omega")], _TEXT_STYLE)
     if isinstance(v, (complex, float)):
-        return _format_complex(complex(v))
+        v = complex(v)
+        return repr(v.real) if v.imag == 0 else repr(v)
     raise TagMismatchError(f"{v!r} is not a supported scalar")

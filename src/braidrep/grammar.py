@@ -13,7 +13,7 @@ import re
 from fractions import Fraction
 
 from .fields import (CC, DEFAULT_EPS, FloatField, Omega, Poly, QQ, QW, QZ,
-                     RatFunc, field_of, format_scalar)
+                     RatFunc, field_of, format_scalar, poly_terms, signed_sum)
 from .matrices import Matrix
 from .families import (Representation, RepMeta, burau3, burau3_diag, dual,
                        direct_sum, make_representation, mu, mu_pascal,
@@ -29,12 +29,16 @@ class ParseError(ValueError):
 # ``^`` (binary powering is fast, but chained powers such as z^1000^1000
 # grow without bound), and the length of the input itself, which bounds
 # how many in-cap powers one spec or point can hold, and the size of a
-# ``--raw`` file.
+# ``--raw`` file.  Parentheses, unary minus and combinators may nest at most
+# MAX_NESTING deep inside a spec's outermost call or in a point, which keeps
+# the recursive parsing and printing far below the interpreter's recursion
+# limit.
 MAX_XI_BRAID_INDEX = 200
 MAX_POWER_DEGREE = 1024
 MAX_POWER_BITS = 4096
 MAX_SPEC_CHARS = 20_000
 MAX_RAW_BYTES = 1_000_000
+MAX_NESTING = 100
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +75,7 @@ class _ScalarParser:
         self.field = field
         self.atoms = atoms
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos] if self.pos < len(self.tokens) else (None, None, None)
@@ -83,7 +88,12 @@ class _ScalarParser:
     def expect_op(self, op):
         kind, text, at = self.take()
         if kind != "op" or text != op:
-            raise ParseError(f"expected {op!r} at position {at}")
+            raise ParseError(f"expected {op!r} {_at(at)}")
+
+    def enter(self, at):
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels at position {at}")
 
     def parse(self):
         value = self.expr()
@@ -121,10 +131,13 @@ class _ScalarParser:
                 return value
 
     def unary(self):
-        kind, text, _ = self.peek()
+        kind, text, at = self.peek()
         if kind == "op" and text == "-":
             self.take()
-            return -self.unary()
+            self.enter(at)
+            value = -self.unary()
+            self.depth -= 1
+            return value
         return self.power()
 
     def power(self):
@@ -136,7 +149,7 @@ class _ScalarParser:
             self.take()
             ekind, etext, at = self.take()
             if ekind != "int":
-                raise ParseError(f"exponent must be an integer literal at position {at}")
+                raise ParseError(f"exponent must be an integer literal {_at(at)}")
             k = _int_literal(etext, at)
             degree, bits = _size(base)
             if degree * k > MAX_POWER_DEGREE or bits * k > MAX_POWER_BITS:
@@ -159,10 +172,18 @@ class _ScalarParser:
                 return self.atoms[text]
             raise ParseError(f"unknown name {text!r} at position {at}")
         if kind == "op" and text == "(":
+            self.enter(at)
             value = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return value
-        raise ParseError(f"unexpected {'end of input' if kind is None else text!r} at position {at}")
+        if kind is None:
+            raise ParseError("expected a value at end of input")
+        raise ParseError(f"unexpected {text!r} at position {at}")
+
+
+def _at(at) -> str:
+    return "at end of input" if at is None else f"at position {at}"
 
 
 def _int_literal(text: str, at: int) -> int:
@@ -252,6 +273,8 @@ def _split_top_level(text: str, sep: str) -> list:
     for i, ch in enumerate(text):
         if ch == "(":
             depth += 1
+            if depth > MAX_NESTING:
+                raise ParseError(f"nesting deeper than {MAX_NESTING} levels at position {i}")
         elif ch == ")":
             depth -= 1
             if depth < 0:
@@ -371,7 +394,7 @@ def scalar_to_json(v):
     raise TypeError(f"{v!r} is not a serializable scalar")
 
 
-def scalar_from_json(obj, eps: float = DEFAULT_EPS):
+def scalar_from_json(obj):
     try:
         if isinstance(obj, str):
             return Fraction(obj)
@@ -397,7 +420,7 @@ def matrix_to_json(m: Matrix) -> dict:
 def matrix_from_json(obj: dict, eps: float = DEFAULT_EPS) -> Matrix:
     try:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
-        values = [scalar_from_json(e, eps) for r in entries for e in r]
+        values = [scalar_from_json(e) for r in entries for e in r]
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError(f"expected {rows} rows of {cols} entries")
     except (KeyError, TypeError, ValueError) as exc:
@@ -441,45 +464,21 @@ def representation_from_json(obj: dict, eps: float = DEFAULT_EPS) -> Representat
 # LaTeX
 
 
-def _poly_latex(p: Poly) -> str:
-    if p.is_zero():
-        return "0"
-    parts = []
-    for k in range(p.degree, -1, -1):
-        c = p.coeff(k)
-        if c == 0:
-            continue
-        mag = abs(c)
-        coeff = "" if (mag == 1 and k > 0) else (
-            str(mag) if mag.denominator == 1 else rf"\frac{{{mag.numerator}}}{{{mag.denominator}}}")
-        var = "" if k == 0 else ("z" if k == 1 else f"z^{{{k}}}")
-        body = f"{coeff}{var}" or "1"
-        if not parts:
-            parts.append(body if c > 0 else f"-{body}")
-        else:
-            parts.append(f"+{body}" if c > 0 else f"-{body}")
-    return "".join(parts)
+def _latex_rational(q) -> str:
+    return str(q) if q.denominator == 1 else rf"\frac{{{q.numerator}}}{{{q.denominator}}}"
+
+
+_LATEX_STYLE = (_latex_rational, _latex_rational, "")
 
 
 def scalar_to_latex(v) -> str:
     if isinstance(v, Fraction):
-        if v.denominator == 1:
-            return str(v)
-        sign = "-" if v < 0 else ""
-        return rf"{sign}\frac{{{abs(v.numerator)}}}{{{v.denominator}}}"
+        return signed_sum([(v, None)], _LATEX_STYLE)
     if isinstance(v, RatFunc):
-        if v.den == Poly.const(1):
-            return _poly_latex(v.num)
-        return rf"\frac{{{_poly_latex(v.num)}}}{{{_poly_latex(v.den)}}}"
+        num, den = (signed_sum(poly_terms(p, "z^{{{}}}"), _LATEX_STYLE) for p in (v.num, v.den))
+        return num if v.den.degree == 0 else rf"\frac{{{num}}}{{{den}}}"
     if isinstance(v, Omega):
-        if v.b == 0:
-            return scalar_to_latex(v.a)
-        parts = []
-        if v.a != 0:
-            parts.append(scalar_to_latex(v.a))
-        om = r"\omega" if abs(v.b) == 1 else scalar_to_latex(abs(v.b)) + r"\omega"
-        parts.append(("-" if v.b < 0 else ("+" if parts else "")) + om)
-        return "".join(parts)
+        return signed_sum([(v.a, None), (v.b, r"\omega")], _LATEX_STYLE)
     if isinstance(v, (complex, float)):
         return format_scalar(v)
     raise TypeError(f"{v!r} has no LaTeX form")

@@ -10,11 +10,13 @@ fraction-free on integers.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
+from itertools import combinations
 from math import lcm
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
-from .fields import QQ, ExactField
+from .fields import QQ, ExactField, format_scalar
 
 
 class SingularMatrixError(ValueError):
@@ -45,8 +47,7 @@ class Matrix:
 
     @classmethod
     def identity(cls, n: int, field) -> "Matrix":
-        one, zero = field.one, field.zero
-        return cls(n, n, [one if i == j else zero for i in range(n) for j in range(n)], field)
+        return cls.diagonal([field.one] * n, field)
 
     @classmethod
     def zero(cls, rows: int, cols: int, field) -> "Matrix":
@@ -76,32 +77,25 @@ class Matrix:
     def to_rows(self) -> list:
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def column_vector(self, j: int) -> "Matrix":
-        return Matrix.column([self[i, j] for i in range(self.rows)], self.field)
-
     # -- arithmetic ---------------------------------------------------------
 
     def _check_same_field(self, other: "Matrix"):
         if self.field != other.field:
             raise ValueError(f"field mismatch: {self.field!r} vs {other.field!r}")
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         if not isinstance(other, Matrix):
             return NotImplemented
         self._check_same_field(other)
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("dimension mismatch")
-        return Matrix(self.rows, self.cols,
-                      [a + b for a, b in zip(self.entries, other.entries)], self.field)
+        return Matrix(self.rows, self.cols, list(map(op, self.entries, other.entries)), self.field)
+
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        self._check_same_field(other)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("dimension mismatch")
-        return Matrix(self.rows, self.cols,
-                      [a - b for a, b in zip(self.entries, other.entries)], self.field)
+        return self._entrywise(other, operator.sub)
 
     def __neg__(self):
         return Matrix(self.rows, self.cols, [-a for a in self.entries], self.field)
@@ -157,9 +151,6 @@ class Matrix:
         for i in range(self.rows):
             acc = acc + self[i, i]
         return acc
-
-    def map_entries(self, func: Callable, field) -> "Matrix":
-        return Matrix(self.rows, self.cols, [func(e) for e in self.entries], field)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -221,18 +212,11 @@ class Matrix:
         for c in range(self.cols):
             if r == self.rows:
                 break
-            pivot_row = None
-            if field.uses_magnitude_pivot:
-                best = None
-                for i in range(r, self.rows):
-                    if not field.is_zero(m[i][c]) and (best is None or abs(m[i][c]) > abs(m[best][c])):
-                        best = i
-                pivot_row = best
+            nonzero = (i for i in range(r, self.rows) if not field.is_zero(m[i][c]))
+            if isinstance(field, ExactField):
+                pivot_row = next(nonzero, None)
             else:
-                for i in range(r, self.rows):
-                    if not field.is_zero(m[i][c]):
-                        pivot_row = i
-                        break
+                pivot_row = max(nonzero, key=lambda i: abs(m[i][c]), default=None)
             if pivot_row is None:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]
@@ -269,10 +253,7 @@ class Matrix:
             raise ValueError("inverse requires a square matrix")
         n = self.rows
         field = self.field
-        aug = Matrix.from_rows(
-            [list(self.row(i)) + list(Matrix.identity(n, field).row(i)) for i in range(n)],
-            field)
-        red, pivots = aug.rref()
+        red, pivots = hstack([self, Matrix.identity(n, field)]).rref()
         if pivots != tuple(range(n)):
             raise SingularMatrixError("not invertible")
         return Matrix(n, n, [red[i, n + j] for i in range(n) for j in range(n)], field)
@@ -296,8 +277,8 @@ class Matrix:
 
     # -- display ------------------------------------------------------------
 
-    def pretty(self, render=str) -> str:
-        cells = [[render(self[i, j]) for j in range(self.cols)] for i in range(self.rows)]
+    def pretty(self) -> str:
+        cells = [[format_scalar(self[i, j]) for j in range(self.cols)] for i in range(self.rows)]
         widths = [max(len(cells[i][j]) for i in range(self.rows)) for j in range(self.cols)]
         lines = []
         for i in range(self.rows):
@@ -424,50 +405,39 @@ def conjugate(p: Matrix, m: Matrix) -> Matrix:
 
 
 # ---------------------------------------------------------------------------
-# Characteristic polynomials (cofactor expansion, small sizes only)
-
-
-def _tp_add(a, b, field):
-    n = max(len(a), len(b))
-    z = field.zero
-    return [(a[k] if k < len(a) else z) + (b[k] if k < len(b) else z) for k in range(n)]
-
-
-def _tp_mul(a, b, field):
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
-def _tp_det(rows, field):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = [field.zero]
-    for j in range(n):
-        minor = [[row[c] for c in range(n) if c != j] for row in rows[1:]]
-        term = _tp_mul(rows[0][j], _tp_det(minor, field), field)
-        if j % 2:
-            term = [-x for x in term]
-        acc = _tp_add(acc, term, field)
-    return acc
+# Characteristic polynomials (principal minors, small sizes only)
 
 
 def char_poly(m: Matrix) -> list:
     """Coefficients of det(t*I - m), ascending in t; monic of degree n.
 
-    Cofactor expansion keeps this exact but quartic in cost, so the size is
-    capped at 4x4.
+    The coefficient of t^(n-k) is (-1)^k times the sum of the k x k
+    principal minors.  Each minor is a cofactor expansion along its first
+    row, and the smaller minors it needs are shared through a table.  The
+    number of minors grows exponentially, so the size is capped at 4x4.
     """
     if m.rows != m.cols:
         raise ValueError("characteristic polynomial requires a square matrix")
-    if m.rows > 4:
+    n, field = m.rows, m.field
+    if n > 4:
         raise ValueError("characteristic polynomial supported up to 4x4 only")
-    field = m.field
-    rows = [[[-m[i, j]] + ([field.one] if i == j else [])
-             for j in range(m.cols)] for i in range(m.rows)]
-    coeffs = _tp_det(rows, field)
-    coeffs += [field.zero] * (m.rows + 1 - len(coeffs))
-    return coeffs
+    minors = {}
+
+    def det(rows, cols):
+        if len(rows) == 1:
+            return m[rows[0], cols[0]]
+        if (rows, cols) not in minors:
+            acc = field.zero
+            for k, j in enumerate(cols):
+                term = m[rows[0], j] * det(rows[1:], cols[:k] + cols[k + 1:])
+                acc = acc - term if k % 2 else acc + term
+            minors[rows, cols] = acc
+        return minors[rows, cols]
+
+    coeffs = [field.one]
+    for k in range(1, n + 1):
+        e = field.zero
+        for idx in combinations(range(n), k):
+            e = e + det(idx, idx)
+        coeffs.append(-e if k % 2 else e)
+    return coeffs[::-1]

@@ -64,10 +64,6 @@ class SuiteResult:
         return "\n".join(lines)
 
 
-def _z() -> RatFunc:
-    return RatFunc.gen()
-
-
 def _fail(result: CheckResult, key: str, payload) -> None:
     result.status = "fail"
     result.details[key] = payload
@@ -125,7 +121,7 @@ def golden_conjugated_sigma2(z: RatFunc) -> Matrix:
 
 def check_ac01(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
     result = CheckResult("AC01", "symbolic braid relations for every named family", "pass")
-    z = _z()
+    z = QZ.gen
     one = QZ.one
     reps = {
         "burau(z)": fam.burau3(z),
@@ -153,7 +149,7 @@ def check_ac01(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
 def check_ac02(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
     result = CheckResult("AC02", "diagonalized Burau equals Burau conjugated by "
                                  "its change of basis, entry by entry", "pass")
-    z = _z()
+    z = QZ.gen
     b = fam.burau3(z)
     diag = fam.burau3_diag(z)
     p = fam.burau_change_of_basis(z)
@@ -167,7 +163,7 @@ def check_ac02(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
 def check_ac03(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
     result = CheckResult("AC03", "tensor-square goldens: product matrices, "
                                  "conjugated forms, deleted row/column", "pass")
-    z = _z()
+    z = QZ.gen
     square = fam.tensor(fam.burau3(z), fam.burau3(z))
     goldens = (golden_tensor_sigma1(z), golden_tensor_sigma2(z))
     for k, (m, expect) in enumerate(zip(square.images, goldens), start=1):
@@ -189,7 +185,7 @@ def check_ac03(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
 def check_ac04(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
     result = CheckResult("AC04", "eigenvectors of the dense 3x3 generator at "
                                  "eigenvalues 1, -z, z^2", "pass")
-    z = _z()
+    z = QZ.gen
     one = QZ.one
     d = fam.mu(z).images[1]
     w = z * z + z + one
@@ -212,7 +208,7 @@ def check_ac04(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
 def check_ac05(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
     result = CheckResult("AC05", "tensor square splits as scalar line plus an "
                                  "invariant complement isomorphic to mu", "pass")
-    z = _z()
+    z = QZ.gen
     square = fam.tensor(fam.burau3(z), fam.burau3(z))
     try:
         report = split_once(square)
@@ -244,7 +240,7 @@ def check_ac05(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
 def check_ac06(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
     result = CheckResult("AC06", "irreducibility locus of mu: generic yes, "
                                  "z = 1 and z = omega no, 100 random rationals yes", "pass")
-    z = _z()
+    z = QZ.gen
     if not is_irreducible(fam.mu(z)):
         _fail(result, "symbolic", "expected irreducible")
     if is_irreducible(fam.specialize(fam.mu(z), Fraction(1))).irreducible:
@@ -268,7 +264,7 @@ def check_ac06(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
 def check_ac07(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
     result = CheckResult("AC07", "z = 1 specialization: shared eigenvector, "
                                  "split into trivial line plus Burau(1), trace identity", "pass")
-    mu_at_one = fam.specialize(fam.mu(_z()), Fraction(1))
+    mu_at_one = fam.specialize(fam.mu(QZ.gen), Fraction(1))
     lines = common_invariant_lines(mu_at_one, "right")
     want = Matrix.column([Fraction(1), Fraction(0), Fraction(1, 3)], QQ)  # (3, 0, 1) normalized
     if len(lines) != 1 or lines[0].vector != want or lines[0].eigenvalue != 1:
@@ -299,7 +295,7 @@ def check_ac07(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
 def check_ac08(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
     result = CheckResult("AC08", "Pascal-basis form matches its golden matrices "
                                  "and is isomorphic to mu with an exact conjugator", "pass")
-    z = _z()
+    z = QZ.gen
     one, zero, two = QZ.one, QZ.zero, QZ.of_int(2)
     golden_s1 = Matrix.from_rows([[z * z, zero, zero], [-z, -z, zero], [one, two, one]], QZ)
     golden_s2 = Matrix.from_rows([[one, 2 * z, z * z], [zero, -z, -(z * z)],
@@ -323,7 +319,7 @@ def check_ac09(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     result = CheckResult("AC09", "family parameter properties: forced off-diagonal "
                                  "product, f-scaling by conjugation, family (ii) "
                                  "irreducible, family (i) reducible at omega", "pass")
-    z = _z()
+    z = QZ.gen
     one = QZ.one
     forced = z * (z * z + z + one) / ((z + one) ** 2)
     for f in (one, z, -z / (z + one)):
@@ -355,7 +351,7 @@ def check_ac09(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
 def check_ac10(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
     result = CheckResult("AC10", "self-intertwiner spaces are exactly "
                                  "one-dimensional (Schur)", "pass")
-    z = _z()
+    z = QZ.gen
     reps = {"burau(z)": fam.burau3(z), "mu(z)": fam.mu(z),
             "thm1_ii(z; e=0)": fam.theorem1_ii(z, QZ.of_int(0))}
     for label, rep in reps.items():
@@ -368,7 +364,7 @@ def check_ac10(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
 def check_ac11(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
     result = CheckResult("AC11", "float and exact specializations agree within "
                                  "epsilon at 50 random rational points", "pass")
-    z = _z()
+    z = QZ.gen
     rng = random.Random(seed)
     target = FloatField(eps)
     points = []
@@ -416,7 +412,7 @@ def check_ac12(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     if code != 1:
         _fail(result, "decompose exit code", code)
     try:
-        split_once(fam.burau3(_z()))
+        split_once(fam.burau3(QZ.gen))
         _fail(result, "split burau", "unexpectedly split an irreducible representation")
     except DecompositionError as exc:
         result.details["decompose_error"] = str(exc)

@@ -149,6 +149,61 @@ def test_raw_file_size_cap(capsys, tmp_path):
     assert err == f"parse error: --raw file is larger than the limit of {cap} bytes\n"
 
 
+# each kind of nesting at the limit, one level above it, and far above it
+NESTED = {
+    "dual": lambda k: "dual(" * k + "burau(z)" + ")" * k,
+    "parentheses": lambda k: "xi(" + "(" * k + "z" + ")" * k + ")",
+    "unary-minus": lambda k: "xi(" + "-" * k + "z)",
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NESTED))
+def test_nesting_limit(capsys, kind):
+    limit = grammar.MAX_NESTING
+    for fmt in ("text", "json", "latex"):
+        assert run(capsys, "show", NESTED[kind](limit), "--format", fmt)[0] == 0
+    for depth in (limit + 1, {"dual": 1200, "parentheses": 3000, "unary-minus": 5000}[kind]):
+        code, out, err = run(capsys, "show", NESTED[kind](depth))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: nesting deeper than {limit} levels at position ")
+
+
+def test_point_nesting_limit(capsys):
+    limit = grammar.MAX_NESTING
+    assert run(capsys, "specialize", "mu(z)", "(" * limit + "2" + ")" * limit)[0] == 0
+    assert run(capsys, "specialize", "--", "mu(z)", "-" * limit + "2")[0] == 0
+    for point in ("(" * (limit + 1) + "2" + ")" * (limit + 1), "-" * (limit + 1) + "2"):
+        code, out, err = run(capsys, "specialize", "--", "mu(z)", point)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"parse error: nesting deeper than {limit} levels at position ")
+
+
+@pytest.mark.parametrize("content,message", [
+    (None, "cannot read --raw file {}: No such file or directory"),
+    ("directory", "cannot read --raw file {}: Is a directory"),
+    (b"\xff{}", "--raw file {} is not UTF-8 JSON: 'utf-8' codec can't decode byte 0xff"),
+    (b'{"braid_index": 3, "images": [', "--raw file {} is not UTF-8 JSON: Expecting value"),
+    (b"[" * 200_000, "--raw file {} is not UTF-8 JSON: maximum recursion depth exceeded"),
+], ids=["missing", "directory", "not-utf-8", "truncated", "deep"])
+def test_unloadable_raw_file_is_exit_2_naming_it(capsys, tmp_path, content, message):
+    path = tmp_path / "rep.json"
+    if content == "directory":
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    code, out, err = run(capsys, "verify", "--raw", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("parse error: " + message.format(path))
+
+
+@pytest.mark.parametrize("spec,message", [
+    ("xi(z^)", "exponent must be an integer literal at end of input"),
+    ("xi(z+)", "expected a value at end of input"),
+])
+def test_parse_error_at_end_of_input_says_so(capsys, spec, message):
+    assert run(capsys, "show", spec) == (2, "", f"parse error: {message}\n")
+
+
 def raw_rep(tmp_path, **changes):
     payload = representation_to_json(families.burau3(Fraction(5, 7)))
     payload.update(changes)

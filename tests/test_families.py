@@ -269,8 +269,9 @@ def test_specialize_commutes_with_conjugation():
             continue
         p_at = burau_change_of_basis(q)
         for m_sym, m_at in zip(burau3(Z).images, burau3(q).images):
-            sym_then_eval = conjugate(p_sym, m_sym).map_entries(
-                lambda e: e.evaluate(q), QQ)
+            conj = conjugate(p_sym, m_sym)
+            sym_then_eval = Matrix(conj.rows, conj.cols,
+                                   [e.evaluate(q) for e in conj.entries], QQ)
             assert sym_then_eval == conjugate(p_at, m_at)
 
 

@@ -45,9 +45,9 @@ def test_gcd_divides_both_and_is_divided_by_common_divisors():
         if g.is_zero():
             assert p.is_zero() and q.is_zero()
             continue
-        assert (p % g).is_zero()
-        assert (q % g).is_zero()
-        assert (g % d).is_zero()
+        assert divmod(p, g)[1].is_zero()
+        assert divmod(q, g)[1].is_zero()
+        assert divmod(g, d)[1].is_zero()
 
 
 def test_poly_built_from_ints_or_fractions_is_one_value():
@@ -141,7 +141,7 @@ def test_omega_defining_relation():
 
 def test_ratfunc_inverse():
     r = RatFunc(Poly([1]), Poly([1, 1]))
-    assert r * (RatFunc.gen() + 1) == RatFunc.const(1)
+    assert r * (RatFunc.gen() + 1) == RatFunc(1)
 
 
 def test_tag_mixing_rejected():
@@ -157,7 +157,7 @@ def test_exact_fields_share_one_descriptor_and_accept_what_they_embed():
     assert all(isinstance(f, ExactField) for f in (QQ, QZ, QW))
     assert QQ.coerce(3) == Fraction(3) and QQ.coerce(Fraction(1, 2)) == Fraction(1, 2)
     assert QZ.coerce(Z + 1) == RatFunc(Poly([1, 1]))
-    assert QZ.coerce(Fraction(2)) == QZ.of_int(2) == RatFunc.const(2)
+    assert QZ.coerce(Fraction(2)) == QZ.of_int(2) == RatFunc(2)
     assert QW.coerce(-1) == Omega(-1, 0)
     rejected = [(QQ, True), (QQ, Z), (QQ, RatFunc.gen()), (QQ, 0.5), (QZ, False),
                 (QZ, Omega(0, 1)), (QZ, 0.5), (QW, True), (QW, Z), (QW, complex(1))]
@@ -171,7 +171,7 @@ def test_exact_fields_share_one_descriptor_and_accept_what_they_embed():
 def test_rationals_lift_into_larger_fields():
     a, b, field = join(Fraction(1, 2), RatFunc.gen())
     assert field is QZ
-    assert a == RatFunc.const(Fraction(1, 2))
+    assert a == RatFunc(Fraction(1, 2))
     a, b, field = join(Omega(0, 1), Fraction(3))
     assert field is QW
     assert b == Omega(3, 0)
@@ -194,7 +194,7 @@ def test_field_axioms(sampler):
 
 def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
-        RatFunc.const(0).inv()
+        RatFunc(0).inv()
     with pytest.raises(ZeroDivisionError):
         Omega(0, 0).inv()
     with pytest.raises(ZeroDivisionError):

@@ -16,7 +16,8 @@ sympy = pytest.importorskip("sympy")
 
 from sympy.polys.matrices import DomainMatrix  # noqa: E402
 
-from braidrep import Matrix, Omega, Poly, QQ, QW, QZ, RatFunc, poly_gcd  # noqa: E402
+from braidrep import (Matrix, Omega, Poly, QQ, QW, QZ, RatFunc, char_poly,  # noqa: E402
+                      poly_gcd)
 
 from _gen import (rand_fraction, rand_matrix, rand_omega, rand_poly,  # noqa: E402
                   rand_ratfunc)
@@ -316,3 +317,20 @@ def test_rref_of_shaped_rank_deficient_rationals_matches_sympy():
         assert len(basis) == m.cols - len(pivots)
         for v in basis:
             assert (to_dm(m) * to_dm(v)).is_zero_matrix
+
+
+# -- characteristic polynomials ---------------------------------------------------
+
+@pytest.mark.parametrize("field,sampler", FIELDS, ids=FIELD_IDS)
+def test_char_poly_matches_sympy(field, sampler):
+    rng = random.Random(312)
+    mats = []
+    for n in range(1, 5):
+        mats += [rand_matrix(rng, n, field, sampler) for _ in range(8)]
+        mats.append(Matrix.zero(n, n, field))
+        if n > 1:
+            mats.append(rank_deficient(rng, field, sampler, n, n))
+    for m in mats:
+        got = char_poly(m)
+        assert len(got) == m.rows + 1
+        assert [sp_entry(field, c) for c in reversed(got)] == to_dm(m).charpoly(), m.to_rows()

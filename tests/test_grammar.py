@@ -1,11 +1,13 @@
 """Tests for the text grammar, JSON round trips, and LaTeX output."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
 import pytest
 
-from braidrep import (CC, Matrix, Omega, ParseError, QQ, QW, QZ, RatFunc,
+from braidrep import (CC, Matrix, Omega, ParseError, Poly, QQ, QW, QZ, RatFunc,
                       burau3, format_scalar, format_spec, matrix_from_json,
                       matrix_to_json, matrix_to_latex, mu, parse_family_spec,
                       parse_point, parse_scalar, representation_from_json,
@@ -57,8 +59,12 @@ def test_parse_precedence():
 def test_parse_errors_carry_position():
     with pytest.raises(ParseError, match="position"):
         parse_scalar("1 + $")
-    with pytest.raises(ParseError, match="position"):
+    with pytest.raises(ParseError, match="^expected a value at end of input$"):
         parse_scalar("z +")
+    with pytest.raises(ParseError, match="^exponent must be an integer literal at end of input$"):
+        parse_scalar("z^")
+    with pytest.raises(ParseError, match="^expected '\\)' at end of input$"):
+        parse_scalar("(z")
     with pytest.raises(ParseError):
         parse_scalar("z + omega")
     with pytest.raises(ParseError):
@@ -242,3 +248,72 @@ def test_representation_latex_lists_generators():
     assert tex.count(r"\mapsto") == 2
     assert r"\sigma_{1}" in tex and r"\sigma_{2}" in tex
     assert r"\frac{z^{4}}{z^{2}+2z+1}" in tex
+
+
+# -- printed forms ---------------------------------------------------------------
+
+_Z = RatFunc.gen()
+
+# value, text (format_scalar and str), LaTeX, JSON
+PRINTED_FORMS = [
+    (RatFunc(0), "0", "0", {"num": [], "den": ["1"]}),
+    (RatFunc(Fraction(-3, 4)), "-3/4", r"-\frac{3}{4}", {"num": ["-3/4"], "den": ["1"]}),
+    (_Z * _Z - _Z + 1, "z^2 - z + 1", "z^{2}-z+1", {"num": ["1", "-1", "1"], "den": ["1"]}),
+    (3 * _Z * _Z - Fraction(1, 2) * _Z, "3*z^2 - (1/2)*z", r"3z^{2}-\frac{1}{2}z",
+     {"num": ["0", "-1/2", "3"], "den": ["1"]}),
+    (-_Z ** 3 + 2, "-z^3 + 2", "-z^{3}+2", {"num": ["2", "0", "0", "-1"], "den": ["1"]}),
+    (-Fraction(2, 3) * _Z, "-(2/3)*z", r"-\frac{2}{3}z", {"num": ["0", "-2/3"], "den": ["1"]}),
+    (RatFunc(_Z.num + 1, 2), "(1/2)*z + 1/2", r"\frac{1}{2}z+\frac{1}{2}",
+     {"num": ["1/2", "1/2"], "den": ["1"]}),
+    (_Z / (2 * _Z + 1), "((1/2)*z)/(z + 1/2)", r"\frac{\frac{1}{2}z}{z+\frac{1}{2}}",
+     {"num": ["0", "1/2"], "den": ["1/2", "1"]}),
+    ((-_Z * _Z + Fraction(1, 3)) / (_Z * _Z - 4), "(-z^2 + 1/3)/(z^2 - 4)",
+     r"\frac{-z^{2}+\frac{1}{3}}{z^{2}-4}",
+     {"num": ["1/3", "0", "-1"], "den": ["-4", "0", "1"]}),
+    (Omega(0, 0), "0", "0", {"a": "0", "b": "0"}),
+    (Omega(-3, 0), "-3", "-3", {"a": "-3", "b": "0"}),
+    (Omega(Fraction(1, 3), 0), "1/3", r"\frac{1}{3}", {"a": "1/3", "b": "0"}),
+    (Omega(0, 1), "omega", r"\omega", {"a": "0", "b": "1"}),
+    (Omega(0, -1), "-omega", r"-\omega", {"a": "0", "b": "-1"}),
+    (Omega(0, -5), "-5*omega", r"-5\omega", {"a": "0", "b": "-5"}),
+    (Omega(2, 1), "2 + omega", r"2+\omega", {"a": "2", "b": "1"}),
+    (Omega(Fraction(-1, 2), -1), "-1/2 - omega", r"-\frac{1}{2}-\omega",
+     {"a": "-1/2", "b": "-1"}),
+    (Omega(-2, Fraction(3, 4)), "-2 + (3/4)*omega", r"-2+\frac{3}{4}\omega",
+     {"a": "-2", "b": "3/4"}),
+    (Fraction(0), "0", "0", "0"),
+    (Fraction(-7), "-7", "-7", "-7"),
+    (Fraction(5, 3), "5/3", r"\frac{5}{3}", "5/3"),
+    (Fraction(-5, 3), "-5/3", r"-\frac{5}{3}", "-5/3"),
+]
+
+
+@pytest.mark.parametrize("value, text, latex, as_json", PRINTED_FORMS)
+def test_printed_forms(value, text, latex, as_json):
+    assert format_scalar(value) == text
+    assert str(value) == text
+    assert scalar_to_latex(value) == latex
+    assert scalar_to_json(value) == as_json
+
+
+def test_polynomial_str():
+    assert [str(p) for p in (Poly(), Poly([Fraction(-3, 4)]), Poly([0, -1]),
+                             Poly([Fraction(1, 2), 0, -3]))] == ["0", "-3/4", "-z", "-3*z^2 + 1/2"]
+
+
+def test_printed_forms_of_seeded_scalars_are_pinned():
+    """Every printed form of 3,000 seeded scalars, pinned by digest."""
+    rng = random.Random(20190520)
+    values = []
+    for _ in range(1000):
+        values.append(rand_ratfunc(rng, max_degree=4))
+        values.append(rand_omega(rng))
+        values.append(rand_fraction(rng, -99, 99))
+    digest = hashlib.sha256()
+    for v in values:
+        for form in (format_scalar(v), str(v), scalar_to_latex(v),
+                     json.dumps(scalar_to_json(v))):
+            digest.update(form.encode() + b"\n")
+        if isinstance(v, RatFunc):
+            digest.update(f"{v.num}\n{v.den}\n".encode())
+    assert digest.hexdigest() == "df626ec727849c55283f4d4321ddd322ee3dba69e5dd19d350b15b3e8939302b"

@@ -15,8 +15,8 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 
-from braidrep import (Omega, QW, RatFunc, burau3, burau3_diag, mu, mu_pascal,  # noqa: E402
-                      standard_s3, theorem1_i, theorem1_ii, xi)
+from braidrep import (Omega, ParameterError, QW, RatFunc, burau3, burau3_diag, mu,  # noqa: E402
+                      mu_pascal, standard_s3, theorem1_i, theorem1_ii, xi)
 
 from _gen import rand_fraction, rand_ratfunc  # noqa: E402
 
@@ -156,3 +156,38 @@ def test_two_parameter_constructor_matches_formula(name):
     for p in seeded_points():
         s = second_parameter(rng, p)
         assert agrees(build(p, s), formula(to_sympy(p), to_sympy(s))), (name, str(p), str(s))
+
+
+# -- every pole and singular point is excluded ---------------------------------------
+
+def critical_points(images):
+    """The z at which an entry has a pole or an image is singular.
+
+    Factors free of z, such as the second parameter of Theorem 1, are
+    skipped; they are that parameter's own condition.
+    """
+    exprs = [sympy.denom(sympy.together(x)) for m in images for x in m]
+    exprs += [sympy.numer(sympy.together(m.det())) for m in images]
+    points = set()
+    for expr in exprs:
+        for factor, _ in sympy.factor_list(expr)[1]:
+            if factor.has(z):
+                assert not factor.has(f, e), factor
+                points.update(sympy.roots(factor, z))
+    return points
+
+
+@pytest.mark.parametrize("name", sorted(ONE_PARAMETER) + sorted(TWO_PARAMETER))
+def test_excluded_parameters_cover_poles_and_singular_points(name):
+    if name in ONE_PARAMETER:
+        build, formula = ONE_PARAMETER[name]
+        images, rest = formula(z), ()
+    else:
+        build, formula, second = TWO_PARAMETER[name]
+        images, rest = formula(z, second), (Fraction(5, 4),)
+    points = critical_points(images)
+    assert sympy.Integer(0) in points
+    for r in points:
+        assert r.is_rational, (name, r)
+        with pytest.raises(ParameterError, match="excluded parameter"):
+            build(Fraction(int(r.p), int(r.q)), *rest)

@@ -1,8 +1,8 @@
 """Exact symbolic linear algebra for complex representations of the braid group B3."""
 
-from .fields import (CC, DEFAULT_EPS, ExactField, FloatField, Omega, Poly,
-                     PoleError, QQ, QW, QZ, RatFunc, TagMismatchError, field_of,
-                     format_scalar, join, poly_gcd, to_complex)
+from .fields import (CC, DEFAULT_EPS, Omega, Poly, PoleError, QQ, QW, QZ, RatFunc,
+                     TagMismatchError, field_of, format_scalar, join, poly_gcd,
+                     to_complex)
 from .matrices import (Matrix, SingularMatrixError, block_diag, char_poly,
                        conjugate, hstack, vstack)
 from .families import (ParameterError, RepMeta, Representation, burau3,

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from .matrices import Matrix, hstack, vstack
@@ -237,14 +236,13 @@ def intertwiners(r1: Representation, r2: Representation) -> list:
     return [Matrix(n2, n1, v.entries, field) for v in vstack(blocks).kernel()]
 
 
-def is_isomorphic(r1: Representation, r2: Representation, *,
-                  seed: int = DEFAULT_SEED) -> IsomorphismReport:
+def is_isomorphic(r1: Representation, r2: Representation) -> IsomorphismReport:
     """Look for an invertible intertwiner.
 
     A one-element basis is tested directly; larger spaces are probed with
-    32 seeded random rational combinations, and exhausting them yields
-    "undecided" rather than a false negative (false positives are
-    impossible over exact fields).
+    32 random rational combinations drawn from DEFAULT_SEED, and exhausting
+    them yields "undecided" rather than a false negative (false positives
+    are impossible over exact fields).
     """
     if r1.dimension != r2.dimension or r1.braid_index != r2.braid_index:
         return IsomorphismReport("no")
@@ -257,11 +255,11 @@ def is_isomorphic(r1: Representation, r2: Representation, *,
             return IsomorphismReport("yes", m)
     if len(basis) == 1:
         return IsomorphismReport("no")
-    rng = random.Random(seed)
+    rng = random.Random(DEFAULT_SEED)
     for _ in range(32):
         combo = Matrix.zero(r2.dimension, r1.dimension, field)
         for m in basis:
-            combo = combo + m.scale(field.lift(Fraction(rng.randint(-9, 9))))
+            combo = combo + m.scale(field.lift(rng.randint(-9, 9)))
         if combo.is_invertible():
             return IsomorphismReport("yes", combo)
     return IsomorphismReport("undecided")

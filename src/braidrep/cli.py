@@ -11,16 +11,16 @@ import argparse
 import json
 import sys
 
-from .fields import DEFAULT_EPS, TagMismatchError, format_scalar
+from .fields import TagMismatchError, format_scalar
 from .families import Representation, specialize
 from .analysis import (DEFAULT_SEED, DecompositionError, is_isomorphic,
                        split_once, verify_braid_relations)
-from .grammar import (MAX_RAW_BYTES, ParseError, format_spec, matrix_to_json,
-                      parse_family_spec, parse_point, representation_from_json,
-                      representation_to_json, representation_to_latex,
-                      scalar_to_json)
+from .grammar import (MAX_ISOMORPHIC_UNKNOWNS, MAX_RAW_BYTES, ParseError, format_spec,
+                      matrix_to_json, parse_family_spec, parse_point,
+                      representation_from_json, representation_to_json,
+                      representation_to_latex, scalar_to_json)
 
-_DOMAIN_ERRORS = (ValueError, TagMismatchError, ZeroDivisionError)
+_DOMAIN_ERRORS = (ValueError, TagMismatchError, ZeroDivisionError, OverflowError)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,8 +34,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--raw", metavar="PATH",
                        help="read the representation from a JSON file instead")
         p.add_argument("--format", choices=("text", "json", "latex"), default="text")
-        p.add_argument("--epsilon", type=float, default=DEFAULT_EPS,
-                       help="tolerance for floating-field equality")
         p.add_argument("--quiet", action="store_true", help="suppress output")
 
     p_show = sub.add_parser("show", help="print the generator images")
@@ -55,13 +53,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_iso.add_argument("spec1")
     p_iso.add_argument("spec2")
     p_iso.add_argument("--format", choices=("text", "json"), default="text")
-    p_iso.add_argument("--epsilon", type=float, default=DEFAULT_EPS)
-    p_iso.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_iso.add_argument("--quiet", action="store_true")
 
     p_suite = sub.add_parser("suite", help="run the full replication checklist")
     p_suite.add_argument("--format", choices=("text", "json"), default="text")
-    p_suite.add_argument("--epsilon", type=float, default=DEFAULT_EPS)
     p_suite.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p_suite.add_argument("--quiet", action="store_true")
     return parser
@@ -98,10 +93,10 @@ def _load(args) -> Representation:
             obj = json.loads(data.decode())
         except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, too deep
             raise ParseError(f"--raw file {args.raw} is not UTF-8 JSON: {exc}") from None
-        return representation_from_json(obj, args.epsilon)
+        return representation_from_json(obj)
     if not args.spec:
         raise ParseError("missing spec argument (or --raw PATH)")
-    return parse_family_spec(args.spec, args.epsilon)
+    return parse_family_spec(args.spec)
 
 
 def _render_representation(rep: Representation, fmt: str) -> str:
@@ -179,8 +174,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_specialize(args) -> int:
     rep = _load(args)
-    point = parse_point(args.point, args.epsilon)
-    result = specialize(rep, point, eps=args.epsilon)
+    result = specialize(rep, parse_point(args.point))
     _emit(args, _render(_render_representation, result, args.format))
     return 0
 
@@ -198,16 +192,17 @@ def _render_isomorphism(report, fmt: str) -> str:
 
 
 def _cmd_isomorphic(args) -> int:
-    r1 = parse_family_spec(args.spec1, args.epsilon)
-    r2 = parse_family_spec(args.spec2, args.epsilon)
-    report = is_isomorphic(r1, r2, seed=args.seed)
+    r1, r2 = parse_family_spec(args.spec1), parse_family_spec(args.spec2)
+    if (n := r1.dimension * r2.dimension) > MAX_ISOMORPHIC_UNKNOWNS:
+        raise ParseError(f"isomorphic has {n} unknowns, above the limit {MAX_ISOMORPHIC_UNKNOWNS}")
+    report = is_isomorphic(r1, r2)
     _emit(args, _render(_render_isomorphism, report, args.format))
     return 0 if report.verdict == "yes" else 1
 
 
 def _cmd_suite(args) -> int:
     from .suite import run_suite
-    result = run_suite(seed=args.seed, eps=args.epsilon)
+    result = run_suite(seed=args.seed)
     if args.format == "json":
         _emit(args, json.dumps(result.to_json_dict(), indent=2))
     else:

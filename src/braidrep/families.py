@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-from .fields import DEFAULT_EPS, FloatField, PoleError, QZ, RatFunc, field_of, join
+from .fields import CC, PoleError, QZ, RatFunc, field_of, join
 from .matrices import Matrix, SingularMatrixError, block_diag
 
 
@@ -107,7 +107,7 @@ def raw(images: Sequence[Matrix], meta: Optional[RepMeta] = None) -> Representat
 def _guard_excluded(z, excluded: Sequence[int], family: str):
     f = field_of(z)
     for bad in excluded:
-        if f.eq(z, f.of_int(bad)):
+        if f.eq(z, f.lift(bad)):
             raise ParameterError(
                 f"excluded parameter: {family} requires z != {bad}")
 
@@ -155,7 +155,7 @@ def theorem1_ii(z, e) -> Representation:
     z, e, fld = join(z, e)
     _guard_excluded(z, (0,), "thm1_ii")
     one = fld.one
-    two = fld.of_int(2)
+    two = fld.lift(2)
     s1 = Matrix.from_rows([[one, z], [fld.zero, one]], fld)
     s2 = Matrix.from_rows([[e, z * (e - one) ** 2],
                            [-(one / z), two - e]], fld)
@@ -226,7 +226,7 @@ def mu_pascal(z) -> Representation:
     fld = field_of(z)
     _guard_excluded(z, (0, -1), "mu_pascal")
     one, zero = fld.one, fld.zero
-    two = fld.of_int(2)
+    two = fld.lift(2)
     s1 = Matrix.from_rows([
         [z * z, zero, zero],
         [-z, -z, zero],
@@ -295,7 +295,7 @@ def dual(r: Representation) -> Representation:
 # Specialization
 
 
-def specialize(r: Representation, point, eps: float = DEFAULT_EPS) -> Representation:
+def specialize(r: Representation, point) -> Representation:
     """Evaluate every entry at the point; the result carries the point's field.
 
     Fails with PoleError naming the offending entry when the point hits a
@@ -303,8 +303,8 @@ def specialize(r: Representation, point, eps: float = DEFAULT_EPS) -> Representa
     """
     if r.field is not QZ:
         raise ParameterError("specialize requires symbolic entries over QQ(z)")
-    target = field_of(point, eps)
-    if isinstance(target, FloatField):
+    target = field_of(point)
+    if target is CC:
         point = target.coerce(point)
 
     def ev(entry: RatFunc, where: str):

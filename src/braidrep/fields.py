@@ -2,9 +2,9 @@
 
 Everything downstream works over one of four coefficient fields: the
 rationals QQ (stdlib ``Fraction``), the rational-function field QQ(z), the
-quadratic extension QQ(omega) with omega^2 + omega + 1 = 0, and a complex
-floating field whose equality test is tolerance-based.  The three exact
-fields are instances of one descriptor class that differ only in data.
+quadratic extension QQ(omega) with omega^2 + omega + 1 = 0, and the complex
+floating field CC, where equality holds within the scale-relative DEFAULT_EPS.
+All four are instances of one descriptor class that differ only in data.
 Integers and rationals embed canonically into every field; any other
 mixing of scalar kinds is rejected.
 
@@ -266,7 +266,7 @@ class Poly:
                 qk *= q
             return Fraction(acc * q, den * qk)
         acc = field.zero
-        if isinstance(field, FloatField):
+        if field is CC:
             for c in reversed(nums):
                 acc = acc * point + complex(c / den)
             return acc
@@ -576,28 +576,24 @@ class Omega:
 # Field descriptors
 
 
-class ExactField:
-    """An exact coefficient field, described by data.
+class Field:
+    """A coefficient field, described by data.
 
-    ``scalar`` is the type of the field's elements, ``lift`` embeds a
-    rational (and whatever else the field admits) and raises
+    ``scalar`` is the type of the field's elements, ``lift`` embeds an
+    integer or a rational (and whatever else the field admits) and raises
     TagMismatchError for anything it cannot place, ``is_zero`` tests for
-    zero and ``inv`` inverts a nonzero element.
+    zero, ``inv`` inverts a nonzero element and ``eq`` decides equality.
     """
 
-    eq = staticmethod(operator.eq)
-
-    def __init__(self, name: str, scalar: type, lift, is_zero, inv):
+    def __init__(self, name: str, scalar: type, lift, is_zero, inv, eq=operator.eq):
         self.name = name
         self.scalar = scalar
         self.lift = lift
         self.is_zero = is_zero
         self.inv = inv
+        self.eq = eq
         self.zero = lift(Fraction(0))
         self.one = lift(Fraction(1))
-
-    def of_int(self, n: int):
-        return self.lift(Fraction(n))
 
     def coerce(self, value):
         if isinstance(value, self.scalar):
@@ -617,58 +613,26 @@ def _reciprocal(a):
     return 1 / a
 
 
-class FloatField:
-    """Complex floating pairs; equality is scale-relative within eps."""
+def _float_lift(value) -> complex:
+    if isinstance(value, (int, float, Fraction)) and not isinstance(value, bool):
+        return complex(float(value))
+    raise TagMismatchError(f"expected a real number, got {value!r}")
 
-    name = "CC"
-    zero = complex(0)
-    one = complex(1)
 
-    def __init__(self, eps: float = DEFAULT_EPS):
-        self.eps = eps
-
-    def of_int(self, n: int):
-        return complex(n)
-
-    def lift(self, fr: Fraction):
-        return complex(float(fr))
-
-    def coerce(self, value):
-        if isinstance(value, complex):
-            return value
-        if isinstance(value, (int, float, Fraction)) and not isinstance(value, bool):
-            return complex(float(value))
-        raise TagMismatchError(f"cannot place {value!r} in {self.name}")
-
-    def eq(self, a, b) -> bool:
-        return abs(a - b) <= self.eps * (1 + max(abs(a), abs(b)))
-
-    def is_zero(self, a) -> bool:
-        return self.eq(a, complex(0))
-
-    inv = staticmethod(_reciprocal)
-
-    def __eq__(self, other):
-        # identity first, so that a field whose eps is nan still equals itself
-        return self is other or (isinstance(other, FloatField) and self.eps == other.eps)
-
-    def __hash__(self):
-        return hash(("CC", self.eps))
-
-    def __repr__(self):
-        return f"CC(eps={self.eps:g})"
+def _float_eq(a, b) -> bool:
+    return abs(a - b) <= DEFAULT_EPS * (1 + max(abs(a), abs(b)))
 
 
 _is_zero, _inv = operator.methodcaller("is_zero"), operator.methodcaller("inv")
-QQ = ExactField("QQ", Fraction, _as_fraction, lambda a: a == 0, _reciprocal)
-QZ = ExactField("QQ(z)", RatFunc, RatFunc, _is_zero, _inv)  # the constructor also lifts a Poly
+QQ = Field("QQ", Fraction, _as_fraction, lambda a: a == 0, _reciprocal)
+QZ = Field("QQ(z)", RatFunc, RatFunc, _is_zero, _inv)  # the constructor also lifts a Poly
 QZ.gen = RatFunc.gen()
-QW = ExactField("QQ(omega)", Omega, Omega, _is_zero, _inv)
+QW = Field("QQ(omega)", Omega, Omega, _is_zero, _inv)
 QW.omega = Omega(0, 1)
-CC = FloatField()
+CC = Field("CC", complex, _float_lift, lambda a: _float_eq(a, 0j), _reciprocal, _float_eq)
 
 
-def field_of(value, eps: float = DEFAULT_EPS):
+def field_of(value):
     """The field descriptor a scalar value belongs to."""
     if isinstance(value, Fraction) or (isinstance(value, int) and not isinstance(value, bool)):
         return QQ
@@ -677,7 +641,7 @@ def field_of(value, eps: float = DEFAULT_EPS):
     if isinstance(value, Omega):
         return QW
     if isinstance(value, (complex, float)):
-        return CC if eps == DEFAULT_EPS else FloatField(eps)
+        return CC
     raise TagMismatchError(f"{value!r} is not a supported scalar")
 
 

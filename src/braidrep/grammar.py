@@ -9,11 +9,12 @@ Printing emits canonical forms that parse back to equal values.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
 
-from .fields import (CC, DEFAULT_EPS, FloatField, Omega, Poly, QQ, QW, QZ,
-                     RatFunc, field_of, format_scalar, poly_terms, signed_sum)
+from .fields import (CC, Omega, Poly, QQ, QW, QZ, RatFunc, field_of, format_scalar,
+                     poly_terms, signed_sum)
 from .matrices import Matrix
 from .families import (Representation, RepMeta, burau3, burau3_diag, dual,
                        direct_sum, make_representation, mu, mu_pascal,
@@ -32,13 +33,17 @@ class ParseError(ValueError):
 # ``--raw`` file.  Parentheses, unary minus and combinators may nest at most
 # MAX_NESTING deep inside a spec's outermost call or in a point, which keeps
 # the recursive parsing and printing far below the interpreter's recursion
-# limit.
+# limit.  MAX_DIMENSION bounds what a spec or ``--raw`` file builds, and
+# MAX_ISOMORPHIC_UNKNOWNS the n1*n2 intertwiner entries ``isomorphic`` solves
+# for; at either cap one command over QQ(z) takes about 2 s.
 MAX_XI_BRAID_INDEX = 200
 MAX_POWER_DEGREE = 1024
 MAX_POWER_BITS = 4096
 MAX_SPEC_CHARS = 20_000
 MAX_RAW_BYTES = 1_000_000
 MAX_NESTING = 100
+MAX_DIMENSION = 16
+MAX_ISOMORPHIC_UNKNOWNS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +105,7 @@ class _ScalarParser:
         kind, text, at = self.peek()
         if kind is not None:
             raise ParseError(f"unexpected {text!r} at position {at}")
-        return value
+        return _finite(value, "the value") if self.field is CC else value
 
     def expr(self):
         value = self.term()
@@ -163,10 +168,11 @@ class _ScalarParser:
 
     def atom(self):
         kind, text, at = self.take()
-        if kind == "int":
-            return self.field.of_int(_int_literal(text, at))
-        if kind == "float":
-            return self.field.coerce(float(text))
+        if kind in ("int", "float"):
+            value = _int_literal(text, at) if kind == "int" else float(text)
+            if self.field is CC:
+                return _finite(value, f"number at position {at}")
+            return self.field.lift(value)
         if kind == "name":
             if text in self.atoms:
                 return self.atoms[text]
@@ -194,6 +200,17 @@ def _int_literal(text: str, at: int) -> int:
                          f"is too long") from None
 
 
+def _finite(value, what: str) -> complex:
+    """``value`` in the floating field, which holds only finite numbers."""
+    try:
+        value = CC.coerce(value)
+    except OverflowError:  # an integer beyond the range of a float
+        value = complex(math.inf)
+    if math.isfinite(value.real) and math.isfinite(value.imag):
+        return value
+    raise ParseError(f"{what} is not a finite float")
+
+
 def _bits(q: Fraction) -> int:
     return max(q.numerator.bit_length(), q.denominator.bit_length())
 
@@ -214,7 +231,7 @@ def _size(v) -> tuple:
     return 0, 0  # floats keep their size
 
 
-def parse_scalar(text: str, eps: float = DEFAULT_EPS):
+def parse_scalar(text: str):
     """Parse a scalar expression, choosing the field from the tokens present.
 
     Decimal literals force the floating field, ``omega`` selects QQ(omega),
@@ -230,8 +247,7 @@ def parse_scalar(text: str, eps: float = DEFAULT_EPS):
     if has_float and ("z" in names or "omega" in names):
         raise ParseError("decimal literals force the floating field; no symbols allowed")
     if has_float:
-        field = CC if eps == DEFAULT_EPS else FloatField(eps)
-        atoms = {}
+        field, atoms = CC, {}
     elif "omega" in names:
         field, atoms = QW, {"omega": QW.omega}
     elif "z" in names:
@@ -241,10 +257,10 @@ def parse_scalar(text: str, eps: float = DEFAULT_EPS):
     return _ScalarParser(tokens, field, atoms).parse()
 
 
-def parse_point(text: str, eps: float = DEFAULT_EPS):
+def parse_point(text: str):
     """Parse a specialization point: exact rational, omega expression or float."""
     _check_length(text, "point")
-    value = parse_scalar(text, eps)
+    value = parse_scalar(text)
     if isinstance(value, RatFunc):
         raise ParseError("a specialization point cannot contain z")
     return value
@@ -294,7 +310,7 @@ def _check_length(text: str, what: str):
                          f"limit {MAX_SPEC_CHARS}")
 
 
-def parse_family_spec(text: str, eps: float = DEFAULT_EPS) -> Representation:
+def parse_family_spec(text: str) -> Representation:
     """Build the representation named by a family-spec string."""
     _check_length(text, "spec")
     text = text.strip()
@@ -311,7 +327,7 @@ def parse_family_spec(text: str, eps: float = DEFAULT_EPS) -> Representation:
     if name in _COMBINATORS:
         if body is None:
             raise ParseError(f"{name} needs parenthesized arguments")
-        args = [parse_family_spec(part, eps) for part in _split_top_level(body, ",")]
+        args = [parse_family_spec(part) for part in _split_top_level(body, ",")]
         func = _COMBINATORS[name]
         if name == "dual":
             if len(args) != 1:
@@ -319,6 +335,9 @@ def parse_family_spec(text: str, eps: float = DEFAULT_EPS) -> Representation:
             return func(args[0])
         if len(args) != 2:
             raise ParseError(f"{name} takes exactly two representations")
+        d1, d2 = args[0].dimension, args[1].dimension
+        if (d1 * d2 if name == "tensor" else d1 + d2) > MAX_DIMENSION:
+            raise ParseError(f"{name} of dimensions {d1}, {d2} is above the limit {MAX_DIMENSION}")
         return func(args[0], args[1])
 
     if name not in _FAMILIES:
@@ -328,7 +347,7 @@ def parse_family_spec(text: str, eps: float = DEFAULT_EPS) -> Representation:
         raise ParseError(f"{name} needs a parameter, e.g. {name}(z)")
 
     sections = _split_top_level(body, ";")
-    pos_args = [parse_scalar(sections[0], eps)]
+    pos_args = [parse_scalar(sections[0])]
     kw_args = {}
     for section in sections[1:]:
         for item in _split_top_level(section, ","):
@@ -346,7 +365,7 @@ def parse_family_spec(text: str, eps: float = DEFAULT_EPS) -> Representation:
                     raise ParseError(f"parameter {key!r} is {kw_args[key]}, above the "
                                      f"limit {MAX_XI_BRAID_INDEX}")
             elif key in positional[1:]:
-                kw_args[key] = parse_scalar(value, eps)
+                kw_args[key] = parse_scalar(value)
             else:
                 raise ParseError(f"unknown parameter {key!r} for {name}")
     missing = [p for p in positional[1:] if p not in kw_args]
@@ -405,7 +424,7 @@ def scalar_from_json(obj):
             if "a" in obj and "b" in obj:
                 return Omega(Fraction(obj["a"]), Fraction(obj["b"]))
             if "re" in obj and "im" in obj:
-                return complex(obj["re"], obj["im"])
+                return _finite(complex(obj["re"], obj["im"]), f"scalar JSON {obj!r}")
     except ZeroDivisionError:
         raise ParseError(f"division by zero in scalar JSON {obj!r}") from None
     raise ParseError(f"bad scalar JSON: {obj!r}")
@@ -417,17 +436,19 @@ def matrix_to_json(m: Matrix) -> dict:
                         for i in range(m.rows)]}
 
 
-def matrix_from_json(obj: dict, eps: float = DEFAULT_EPS) -> Matrix:
+def matrix_from_json(obj: dict) -> Matrix:
     try:
         rows, cols, entries = obj["rows"], obj["cols"], obj["entries"]
         values = [scalar_from_json(e) for r in entries for e in r]
         if len(entries) != rows or any(len(r) != cols for r in entries):
             raise ValueError(f"expected {rows} rows of {cols} entries")
-    except (KeyError, TypeError, ValueError) as exc:
+        if max(rows, cols) > MAX_DIMENSION:
+            raise ValueError(f"{rows} x {cols} is above the dimension limit {MAX_DIMENSION}")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"bad matrix JSON: {exc}") from None
     if not values:
         raise ParseError("bad matrix JSON: no entries")
-    field = field_of(values[0], eps)
+    field = field_of(values[0])
     return Matrix(rows, cols, values, field)
 
 
@@ -444,17 +465,17 @@ def representation_to_json(r: Representation) -> dict:
             "meta": meta_to_json(r.meta)}
 
 
-def representation_from_json(obj: dict, eps: float = DEFAULT_EPS) -> Representation:
+def representation_from_json(obj: dict) -> Representation:
     try:
         braid_index = obj["braid_index"]
-        images = [matrix_from_json(mj, eps) for mj in obj["images"]]
+        images = [matrix_from_json(mj) for mj in obj["images"]]
     except (KeyError, TypeError) as exc:
         raise ParseError(f"bad representation JSON: {exc}") from None
     if not isinstance(braid_index, int) or isinstance(braid_index, bool):
         raise ParseError(f"bad representation JSON: braid_index must be an integer, "
                          f"got {braid_index!r}")
     meta_obj = obj.get("meta") or {}
-    params = {k: (v if isinstance(v, int) else parse_scalar(v, eps))
+    params = {k: (v if isinstance(v, int) else parse_scalar(v))
               for k, v in (meta_obj.get("params") or {}).items()}
     meta = RepMeta(meta_obj.get("family", "raw"), params)
     return make_representation(braid_index, images, meta)

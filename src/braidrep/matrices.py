@@ -16,7 +16,7 @@ from itertools import combinations
 from math import lcm
 from typing import Iterable, Sequence
 
-from .fields import QQ, ExactField, format_scalar
+from .fields import CC, QQ, format_scalar
 
 
 class SingularMatrixError(ValueError):
@@ -132,7 +132,7 @@ class Matrix:
             raise ValueError("sub_scalar requires a square matrix")
         field = self.field
         lam = field.coerce(lam)
-        if not isinstance(field, ExactField):
+        if field is CC:
             return self - Matrix.identity(n, field).scale(lam)
         ent = list(self.entries)
         for k in range(0, n * n, n + 1):
@@ -185,7 +185,7 @@ class Matrix:
         """
         self._check_same_field(other)
         field = self.field
-        skip_zeros = isinstance(field, ExactField)
+        skip_zeros = field is not CC
         zero_row = [field.zero] * other.cols
         ent = []
         for i in range(self.rows):
@@ -213,10 +213,10 @@ class Matrix:
             if r == self.rows:
                 break
             nonzero = (i for i in range(r, self.rows) if not field.is_zero(m[i][c]))
-            if isinstance(field, ExactField):
-                pivot_row = next(nonzero, None)
-            else:
+            if field is CC:
                 pivot_row = max(nonzero, key=lambda i: abs(m[i][c]), default=None)
+            else:
+                pivot_row = next(nonzero, None)
             if pivot_row is None:
                 continue
             m[r], m[pivot_row] = m[pivot_row], m[r]

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from pathlib import Path
 
-from .fields import DEFAULT_EPS, FloatField, QQ, QW, QZ, RatFunc, to_complex
+from .fields import CC, DEFAULT_EPS, QQ, QW, QZ, RatFunc, to_complex
 from .matrices import Matrix, conjugate
 from . import families as fam
 from .families import ParameterError
@@ -39,7 +39,6 @@ class CheckResult:
 @dataclass
 class SuiteResult:
     seed: int
-    epsilon: float
     checks: list
 
     @property
@@ -47,7 +46,7 @@ class SuiteResult:
         return 0 if all(c.status != "fail" for c in self.checks) else 1
 
     def to_json_dict(self) -> dict:
-        return {"seed": self.seed, "epsilon": self.epsilon,
+        return {"seed": self.seed, "epsilon": DEFAULT_EPS,
                 "checks": [{"id": c.check_id, "description": c.description,
                             "status": c.status, "details": c.details}
                            for c in self.checks],
@@ -119,7 +118,7 @@ def golden_conjugated_sigma2(z: RatFunc) -> Matrix:
 # Checks
 
 
-def check_ac01(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
+def check_ac01(seed: int = DEFAULT_SEED) -> CheckResult:
     result = CheckResult("AC01", "symbolic braid relations for every named family", "pass")
     z = QZ.gen
     one = QZ.one
@@ -131,10 +130,10 @@ def check_ac01(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
         "thm1_i(z; f=-z/(z+1))": fam.theorem1_i(z, -z / (z + one)),
         "thm1_i(z; f=1)": fam.theorem1_i(z, one),
         "thm1_i(z; f=z)": fam.theorem1_i(z, z),
-        "thm1_ii(z; e=0)": fam.theorem1_ii(z, QZ.of_int(0)),
-        "thm1_ii(z; e=1)": fam.theorem1_ii(z, QZ.of_int(1)),
-        "thm1_ii(z; e=2)": fam.theorem1_ii(z, QZ.of_int(2)),
-        "thm1_ii(z; e=-1)": fam.theorem1_ii(z, QZ.of_int(-1)),
+        "thm1_ii(z; e=0)": fam.theorem1_ii(z, QZ.lift(0)),
+        "thm1_ii(z; e=1)": fam.theorem1_ii(z, QZ.lift(1)),
+        "thm1_ii(z; e=2)": fam.theorem1_ii(z, QZ.lift(2)),
+        "thm1_ii(z; e=-1)": fam.theorem1_ii(z, QZ.lift(-1)),
         "xi(z)": fam.xi(z),
         "xi(-z)": fam.xi(-z),
     }
@@ -146,7 +145,7 @@ def check_ac01(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     return result
 
 
-def check_ac02(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
+def check_ac02(seed: int = DEFAULT_SEED) -> CheckResult:
     result = CheckResult("AC02", "diagonalized Burau equals Burau conjugated by "
                                  "its change of basis, entry by entry", "pass")
     z = QZ.gen
@@ -160,7 +159,7 @@ def check_ac02(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     return result
 
 
-def check_ac03(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
+def check_ac03(seed: int = DEFAULT_SEED) -> CheckResult:
     result = CheckResult("AC03", "tensor-square goldens: product matrices, "
                                  "conjugated forms, deleted row/column", "pass")
     z = QZ.gen
@@ -182,7 +181,7 @@ def check_ac03(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     return result
 
 
-def check_ac04(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
+def check_ac04(seed: int = DEFAULT_SEED) -> CheckResult:
     result = CheckResult("AC04", "eigenvectors of the dense 3x3 generator at "
                                  "eigenvalues 1, -z, z^2", "pass")
     z = QZ.gen
@@ -190,7 +189,7 @@ def check_ac04(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     d = fam.mu(z).images[1]
     w = z * z + z + one
     expected = {
-        "1": (one, Matrix.column([one, QZ.of_int(-2), one], QZ)),
+        "1": (one, Matrix.column([one, QZ.lift(-2), one], QZ)),
         "-z": (-z, Matrix.column([-w / z, (z * z + one) / z, one], QZ)),
         "z^2": (z * z, Matrix.column(
             [(z ** 4 + 2 * z ** 3 + 3 * z * z + 2 * z + one) / (z * z),
@@ -205,7 +204,7 @@ def check_ac04(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     return result
 
 
-def check_ac05(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
+def check_ac05(seed: int = DEFAULT_SEED) -> CheckResult:
     result = CheckResult("AC05", "tensor square splits as scalar line plus an "
                                  "invariant complement isomorphic to mu", "pass")
     z = QZ.gen
@@ -225,7 +224,7 @@ def check_ac05(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
         off = [conj[i, 0] for i in range(1, 4)] + [conj[0, j] for j in range(1, 4)]
         if any(not QZ.is_zero(x) for x in off):
             _fail(result, f"block diagonality sigma_{k}", matrix_to_json(conj))
-    iso = is_isomorphic(rest, fam.mu(z), seed=seed)
+    iso = is_isomorphic(rest, fam.mu(z))
     if iso.verdict != "yes":
         _fail(result, "three-dim block vs mu", iso.verdict)
     else:
@@ -237,7 +236,7 @@ def check_ac05(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     return result
 
 
-def check_ac06(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
+def check_ac06(seed: int = DEFAULT_SEED) -> CheckResult:
     result = CheckResult("AC06", "irreducibility locus of mu: generic yes, "
                                  "z = 1 and z = omega no, 100 random rationals yes", "pass")
     z = QZ.gen
@@ -261,7 +260,7 @@ def check_ac06(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     return result
 
 
-def check_ac07(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
+def check_ac07(seed: int = DEFAULT_SEED) -> CheckResult:
     result = CheckResult("AC07", "z = 1 specialization: shared eigenvector, "
                                  "split into trivial line plus Burau(1), trace identity", "pass")
     mu_at_one = fam.specialize(fam.mu(QZ.gen), Fraction(1))
@@ -277,7 +276,7 @@ def check_ac07(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     if report.blocks[0].images[0] != fam.xi(Fraction(1)).images[0]:
         _fail(result, "trivial block", matrix_to_json(report.blocks[0].images[0]))
     rho = fam.burau3(Fraction(1))
-    if is_isomorphic(report.blocks[1], rho, seed=seed).verdict != "yes":
+    if is_isomorphic(report.blocks[1], rho).verdict != "yes":
         _fail(result, "two-dim block vs burau(1)", "not isomorphic")
     ident = Matrix.identity(2, QQ)
     if any(m * m != ident for m in rho.images):
@@ -292,18 +291,18 @@ def check_ac07(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     return result
 
 
-def check_ac08(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
+def check_ac08(seed: int = DEFAULT_SEED) -> CheckResult:
     result = CheckResult("AC08", "Pascal-basis form matches its golden matrices "
                                  "and is isomorphic to mu with an exact conjugator", "pass")
     z = QZ.gen
-    one, zero, two = QZ.one, QZ.zero, QZ.of_int(2)
+    one, zero, two = QZ.one, QZ.zero, QZ.lift(2)
     golden_s1 = Matrix.from_rows([[z * z, zero, zero], [-z, -z, zero], [one, two, one]], QZ)
     golden_s2 = Matrix.from_rows([[one, 2 * z, z * z], [zero, -z, -(z * z)],
                                    [zero, zero, z * z]], QZ)
     pascal = fam.mu_pascal(z)
     if pascal.images[0] != golden_s1 or pascal.images[1] != golden_s2:
         _fail(result, "golden matrices", [matrix_to_json(m) for m in pascal.images])
-    iso = is_isomorphic(fam.mu(z), pascal, seed=seed)
+    iso = is_isomorphic(fam.mu(z), pascal)
     if iso.verdict != "yes":
         _fail(result, "isomorphism", iso.verdict)
     else:
@@ -315,7 +314,7 @@ def check_ac08(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     return result
 
 
-def check_ac09(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
+def check_ac09(seed: int = DEFAULT_SEED) -> CheckResult:
     result = CheckResult("AC09", "family parameter properties: forced off-diagonal "
                                  "product, f-scaling by conjugation, family (ii) "
                                  "irreducible, family (i) reducible at omega", "pass")
@@ -338,7 +337,7 @@ def check_ac09(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
             if conjugate(scaling, m) != expect:
                 _fail(result, f"f-scaling t={t}", matrix_to_json(conjugate(scaling, m)))
     for e in (0, 1, 2, -1):
-        if not is_irreducible(fam.theorem1_ii(z, QZ.of_int(e))).irreducible:
+        if not is_irreducible(fam.theorem1_ii(z, QZ.lift(e))).irreducible:
             _fail(result, f"family (ii) e={e}", "expected irreducible")
     at_omega = is_irreducible(fam.theorem1_i(QW.omega, QW.one))
     if at_omega.irreducible:
@@ -348,12 +347,12 @@ def check_ac09(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     return result
 
 
-def check_ac10(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
+def check_ac10(seed: int = DEFAULT_SEED) -> CheckResult:
     result = CheckResult("AC10", "self-intertwiner spaces are exactly "
                                  "one-dimensional (Schur)", "pass")
     z = QZ.gen
     reps = {"burau(z)": fam.burau3(z), "mu(z)": fam.mu(z),
-            "thm1_ii(z; e=0)": fam.theorem1_ii(z, QZ.of_int(0))}
+            "thm1_ii(z; e=0)": fam.theorem1_ii(z, QZ.lift(0))}
     for label, rep in reps.items():
         basis = intertwiners(rep, rep)
         if len(basis) != 1:
@@ -361,12 +360,11 @@ def check_ac10(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     return result
 
 
-def check_ac11(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
+def check_ac11(seed: int = DEFAULT_SEED) -> CheckResult:
     result = CheckResult("AC11", "float and exact specializations agree within "
                                  "epsilon at 50 random rational points", "pass")
     z = QZ.gen
     rng = random.Random(seed)
-    target = FloatField(eps)
     points = []
     while len(points) < 50:
         q = Fraction(rng.randint(-30, 30), rng.randint(1, 20))
@@ -376,20 +374,20 @@ def check_ac11(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     for rep_sym in (fam.burau3(z), fam.mu(z)):
         for q in points:
             exact = fam.specialize(rep_sym, q)
-            floated = fam.specialize(rep_sym, complex(float(q)), eps=eps)
+            floated = fam.specialize(rep_sym, complex(float(q)))
             if not verify_braid_relations(exact).overall:
                 _fail(result, f"exact at {q}", "relation violated")
             if not verify_braid_relations(floated).overall:
                 _fail(result, f"float at {q}", "relation violated within epsilon")
             for me, mf in zip(exact.images, floated.images):
                 for a, b in zip(me.entries, mf.entries):
-                    if not target.eq(to_complex(a), b):
+                    if not CC.eq(to_complex(a), b):
                         _fail(result, f"entry agreement at {q}", f"{a} vs {b}")
     result.details["points"] = len(points)
     return result
 
 
-def check_ac12(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
+def check_ac12(seed: int = DEFAULT_SEED) -> CheckResult:
     result = CheckResult("AC12", "negative controls: perturbed raw input fails "
                                  "verification (exit 1); splitting Burau reports "
                                  "no invariant line (exit 1)", "pass")
@@ -419,7 +417,7 @@ def check_ac12(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     return result
 
 
-def check_oq01(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
+def check_oq01(seed: int = DEFAULT_SEED) -> CheckResult:
     """Probe: the diagonalized Burau form at the boundary points z = 1 and z = -1."""
     result = CheckResult("OQ01", "diagonalized Burau domain: valid at z = 1, "
                                  "rejected at z = -1", "reported")
@@ -445,7 +443,7 @@ def check_oq01(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResul
     return result
 
 
-def check_oq02(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> CheckResult:
+def check_oq02(seed: int = DEFAULT_SEED) -> CheckResult:
     """Probe: family (i) on the quadratic locus z^2 + z + 1 = 0."""
     result = CheckResult("OQ02", "family (i) at z = omega: computed answer to the "
                                  "excluded-locus question", "reported")
@@ -469,6 +467,5 @@ ALL_CHECKS = [
 ]
 
 
-def run_suite(seed: int = DEFAULT_SEED, eps: float = DEFAULT_EPS) -> SuiteResult:
-    checks = [fn(seed=seed, eps=eps) for fn in ALL_CHECKS]
-    return SuiteResult(seed, eps, checks)
+def run_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
+    return SuiteResult(seed, [fn(seed=seed) for fn in ALL_CHECKS])

@@ -11,7 +11,6 @@ import time
 import pytest
 
 from braidrep.analysis import DEFAULT_SEED
-from braidrep.fields import DEFAULT_EPS
 from braidrep import suite
 
 # criteria with a stated runtime budget, in seconds
@@ -22,7 +21,7 @@ _TIME_BUDGETS = {"AC01": 1.0, "AC06": 5.0}
                          ids=[fn.__name__.split("_")[-1].upper() for fn in suite.ALL_CHECKS])
 def test_criterion(check):
     started = time.perf_counter()
-    result = check(seed=DEFAULT_SEED, eps=DEFAULT_EPS)
+    result = check(seed=DEFAULT_SEED)
     elapsed = time.perf_counter() - started
     print(f"{result.check_id} {result.status.upper()}  {result.description}  "
           f"[{elapsed:.3f}s]")

@@ -7,12 +7,12 @@ import pytest
 
 from braidrep import (DecompositionError, Matrix, QQ, QW, QZ, RatFunc,
                       burau3, burau3_diag, burau_change_of_basis,
-                      common_invariant_lines, conjugate, intertwiners,
+                      common_invariant_lines, conjugate, direct_sum, intertwiners,
                       is_irreducible, is_isomorphic, mu, mu_pascal, specialize,
                       spectrum_of_triangular, split_once, tensor, theorem1_i,
                       theorem1_ii, verify_braid_relations, xi)
 from braidrep import raw as raw_rep
-from braidrep.analysis import InvariantLine, _assemble_split
+from braidrep.analysis import InvariantLine, IsomorphismReport, _assemble_split
 
 from _gen import rand_fraction
 
@@ -143,7 +143,7 @@ def test_burau_irreducible():
 
 def test_family_ii_irreducible():
     for e in (0, 1, 2, -1):
-        assert is_irreducible(theorem1_ii(Z, QZ.of_int(e))).irreducible
+        assert is_irreducible(theorem1_ii(Z, QZ.lift(e))).irreducible
 
 
 def test_one_dimensional_always_irreducible():
@@ -277,10 +277,39 @@ def test_dimension_mismatch_is_no_not_error():
     assert is_isomorphic(xi(Z), burau3(Z)).verdict == "no"
 
 
-def test_isomorphism_is_deterministic_given_seed():
-    a = is_isomorphic(mu(Z), mu_pascal(Z), seed=7)
-    b = is_isomorphic(mu(Z), mu_pascal(Z), seed=7)
-    assert a == b
+# Hom spaces of dimension above one whose basis holds no invertible element,
+# so only the random combinations can answer
+def xi_sum(*scalars):
+    reps = [xi(Fraction(s)) for s in scalars]
+    out = reps[0]
+    for r in reps[1:]:
+        out = direct_sum(out, r)
+    return out
+
+
+@pytest.mark.parametrize("r1,r2", [(xi_sum(2, 3), xi_sum(3, 2)), (xi_sum(1, 1), xi_sum(1, 1))],
+                         ids=["swapped", "repeated"])
+def test_random_probe_finds_an_isomorphism(r1, r2):
+    basis = intertwiners(r1, r2)
+    assert len(basis) > 1 and not any(m.is_invertible() for m in basis)
+    report = is_isomorphic(r1, r2)
+    assert report.verdict == "yes"
+    c = report.conjugator
+    assert c.is_invertible()
+    for m1, m2 in zip(r1.images, r2.images):
+        assert c * m1 == m2 * c
+
+
+def test_random_probe_without_an_isomorphism_is_undecided():
+    r1, r2 = xi_sum(2, 2, 3), xi_sum(2, 2, 5)
+    assert len(intertwiners(r1, r2)) == 4
+    assert is_isomorphic(r1, r2) == IsomorphismReport("undecided")
+
+
+def test_isomorphism_is_deterministic():
+    r1, r2 = xi_sum(2, 3), xi_sum(3, 2)
+    assert len(intertwiners(r1, r2)) == 2
+    assert is_isomorphic(r1, r2) == is_isomorphic(r1, r2)
 
 
 def test_specialization_sweep_mostly_irreducible():

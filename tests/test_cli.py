@@ -11,7 +11,7 @@ import pytest
 
 import braidrep
 from braidrep import analysis, cli, families, grammar
-from braidrep.grammar import representation_to_json, scalar_from_json
+from braidrep.grammar import matrix_to_json, representation_to_json, scalar_from_json
 from braidrep.matrices import Matrix
 from braidrep.fields import QQ
 
@@ -204,6 +204,77 @@ def test_parse_error_at_end_of_input_says_so(capsys, spec, message):
     assert run(capsys, "show", spec) == (2, "", f"parse error: {message}\n")
 
 
+# a float beyond the double range, and an integer beyond it
+HUGE_FLOAT = "7" * 401 + ".5"
+HUGE_INT = "7" * 401
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("show", "xi(1e400)"), "number at position 0 is not a finite float"),
+    (("show", "xi(1e308*10)"), "the value is not a finite float"),
+    (("show", "xi(1e308*10-1e308*10)"), "the value is not a finite float"),
+    (("show", f"xi(1.5+{HUGE_INT})"), "number at position 4 is not a finite float"),
+    (("specialize", "mu(z)", HUGE_FLOAT), "number at position 0 is not a finite float"),
+], ids=["inf-literal", "inf-result", "nan-result", "huge-int", "huge-point"])
+def test_non_finite_floats_are_exit_2(capsys, argv, message):
+    assert run(capsys, *argv) == (2, "", f"parse error: {message}\n")
+
+
+def test_float_overflow_after_parsing_is_exit_3(capsys):
+    assert run(capsys, "show", "mu(1e200)") == (3, "", "error: complex exponentiation\n")
+
+
+@pytest.mark.parametrize("re_text,shown", [
+    ("Infinity", "scalar JSON {'re': inf, 'im': 0.0} is not a finite float"),
+    ("1e400", "scalar JSON {'re': inf, 'im': 0.0} is not a finite float"),
+    ("NaN", "scalar JSON {'re': nan, 'im': 0.0} is not a finite float"),
+    (HUGE_INT, "int too large to convert to float"),
+], ids=["infinity", "overflowing-literal", "nan", "huge-int"])
+def test_raw_non_finite_float_is_exit_2(capsys, tmp_path, re_text, shown):
+    one = '{"rows": 1, "cols": 1, "entries": [[{"re": 2.0, "im": 0.0}]]}'
+    bad = '{"rows": 1, "cols": 1, "entries": [[{"re": %s, "im": 0.0}]]}' % re_text
+    path = tmp_path / "rep.json"
+    path.write_text('{"braid_index": 3, "images": [%s, %s]}' % (bad, one))
+    assert run(capsys, "verify", "--raw", str(path)) == (
+        2, "", f"parse error: bad matrix JSON: {shown}\n")
+
+
+def tensor_power(base, k):
+    spec = base
+    for _ in range(k - 1):
+        spec = f"tensor({spec},{base})"
+    return spec
+
+
+def test_dimension_cap(capsys, tmp_path):
+    cap = grammar.MAX_DIMENSION
+    assert cap == 16
+    at_cap = tensor_power("burau(2)", 4)
+    assert run(capsys, "verify", at_cap)[0] == 0
+    for spec, shown in [(f"direct_sum({at_cap},xi(2))", "direct_sum of dimensions 16, 1"),
+                        (f"tensor({at_cap},burau(2))", "tensor of dimensions 16, 2")]:
+        assert run(capsys, "verify", spec) == (
+            2, "", f"parse error: {shown} is above the limit {cap}\n")
+    for n, expect in [(cap, 0), (cap + 1, 2)]:
+        image = matrix_to_json(Matrix.identity(n, QQ))
+        path = tmp_path / f"rep{n}.json"
+        path.write_text(json.dumps({"braid_index": 3, "images": [image, image]}))
+        code, _, err = run(capsys, "verify", "--raw", str(path))
+        assert code == expect
+        if expect:
+            assert err == (f"parse error: bad matrix JSON: {n} x {n} is above the "
+                           f"dimension limit {cap}\n")
+
+
+def test_isomorphic_unknowns_cap(capsys):
+    cap = grammar.MAX_ISOMORPHIC_UNKNOWNS
+    assert cap == 64
+    eight = tensor_power("burau(2)", 3)
+    assert run(capsys, "isomorphic", eight, eight)[0] == 0
+    assert run(capsys, "isomorphic", eight, f"direct_sum({eight},xi(2))") == (
+        2, "", f"parse error: isomorphic has 72 unknowns, above the limit {cap}\n")
+
+
 def raw_rep(tmp_path, **changes):
     payload = representation_to_json(families.burau3(Fraction(5, 7)))
     payload.update(changes)
@@ -380,6 +451,12 @@ def test_not_isomorphic_is_exit_1(capsys):
     code, out, _ = run(capsys, "isomorphic", "xi(z)", "xi(-z)", "--format", "json")
     assert code == 1
     assert json.loads(out)["verdict"] == "no"
+
+
+def test_undecided_isomorphism_is_exit_1(capsys):
+    code, out, _ = run(capsys, "isomorphic", "direct_sum(direct_sum(xi(2),xi(2)),xi(3))",
+                       "direct_sum(direct_sum(xi(2),xi(2)),xi(5))", "--format", "json")
+    assert (code, json.loads(out)) == (1, {"verdict": "undecided"})
 
 
 # -- suite --------------------------------------------------------------------------

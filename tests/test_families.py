@@ -157,7 +157,7 @@ def test_mu_excluded_parameters():
 
 def test_every_named_constructor_satisfies_relations_symbolically():
     reps = [burau3(Z), burau3_diag(Z), mu(Z), mu_pascal(Z), xi(Z), xi(-Z),
-            theorem1_i(Z, ONE), theorem1_ii(Z, QZ.of_int(2)), standard_s3()]
+            theorem1_i(Z, ONE), theorem1_ii(Z, QZ.lift(2)), standard_s3()]
     rng = random.Random(53)
     points = [QW.omega, QW.omega + 3]
     while len(points) < 8:

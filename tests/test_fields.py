@@ -5,9 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from braidrep import (CC, ExactField, FloatField, Omega, Poly, PoleError, QQ,
-                      QW, QZ, RatFunc, field_of, format_scalar, join, poly_gcd,
-                      TagMismatchError)
+from braidrep import (CC, Omega, Poly, PoleError, QQ, QW, QZ, RatFunc, field_of,
+                      format_scalar, join, poly_gcd, TagMismatchError)
+from braidrep.fields import Field
 
 from _gen import rand_fraction, rand_omega, rand_poly, rand_ratfunc
 
@@ -154,13 +154,16 @@ def test_tag_mixing_rejected():
 
 
 def test_exact_fields_share_one_descriptor_and_accept_what_they_embed():
-    assert all(isinstance(f, ExactField) for f in (QQ, QZ, QW))
+    assert all(isinstance(f, Field) for f in (QQ, QZ, QW, CC))
     assert QQ.coerce(3) == Fraction(3) and QQ.coerce(Fraction(1, 2)) == Fraction(1, 2)
     assert QZ.coerce(Z + 1) == RatFunc(Poly([1, 1]))
-    assert QZ.coerce(Fraction(2)) == QZ.of_int(2) == RatFunc(2)
+    assert QZ.coerce(Fraction(2)) == QZ.lift(2) == RatFunc(2)
     assert QW.coerce(-1) == Omega(-1, 0)
+    assert CC.coerce(3) == CC.lift(Fraction(3)) == complex(3.0)
+    assert CC.coerce(Fraction(1, 3)) == complex(1 / 3) and CC.coerce(0.5) == complex(0.5)
     rejected = [(QQ, True), (QQ, Z), (QQ, RatFunc.gen()), (QQ, 0.5), (QZ, False),
-                (QZ, Omega(0, 1)), (QZ, 0.5), (QW, True), (QW, Z), (QW, complex(1))]
+                (QZ, Omega(0, 1)), (QZ, 0.5), (QW, True), (QW, Z), (QW, complex(1)),
+                (CC, True), (CC, Z), (CC, Omega(0, 1)), (CC, "1")]
     for field, value in rejected:
         with pytest.raises(TagMismatchError, match=r"^cannot place .* in "):
             field.coerce(value)
@@ -249,12 +252,6 @@ def test_field_of_dispatch():
     assert field_of(RatFunc.gen()) is QZ
     assert field_of(Omega(0, 1)) is QW
     assert field_of(complex(2)) is CC
-
-
-def test_float_field_equals_itself_even_with_nan_eps():
-    nan_field = FloatField(float("nan"))
-    assert nan_field == nan_field
-    assert FloatField(1e-6) == FloatField(1e-6) != CC
 
 
 def test_float_equality_is_scale_relative():

@@ -115,7 +115,7 @@ def test_kernel_of_dense_generator_minus_identity():
     shifted = d - Matrix.identity(3, QZ)
     basis = shifted.kernel()
     assert len(basis) == 1
-    assert basis[0] == Matrix.column([ONE, QZ.of_int(-2), ONE], QZ)
+    assert basis[0] == Matrix.column([ONE, QZ.lift(-2), ONE], QZ)
 
 
 def test_kernel_of_identity_empty():

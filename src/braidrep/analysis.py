@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .matrices import Matrix, hstack, vstack
-from .families import Representation, RepMeta, make_representation, xi
+from .families import Representation, RepMeta, make_representation, relation_verdicts, xi
 
 DEFAULT_SEED = 12345
 
@@ -81,21 +81,22 @@ class IsomorphismReport:
 def verify_braid_relations(r: Representation) -> VerificationReport:
     """Check far commutation and the braid relation on every generator pair.
 
-    Failures are reported, never raised; equality is exact for exact fields
-    and tolerance-based over floats.
+    Failures are reported, never raised.  Over QQ and QQ(z) each image is
+    written once as A / d with A and d free of denominators (ints, or
+    polynomials with integer coefficients), and s_i*s_j*s_i = s_j*s_i*s_j
+    is decided exactly as d_j*(AB)A == d_i*B(AB), s_i*s_j = s_j*s_i as
+    AB == BA: no fraction is formed and no gcd taken.  QQ(omega) compares
+    the products exactly and CC within DEFAULT_EPS, where a value that is
+    not finite raises OverflowError.  Each pair shares the product AB
+    (``families.relation_verdicts``).
     """
     checks = []
-    images = r.images
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            a, b = images[i], images[j]
-            si, sj = f"s{i + 1}", f"s{j + 1}"
-            if j - i == 1:
-                holds = (a * b * a == b * a * b)
-                checks.append(RelationCheck(f"{si}*{sj}*{si}", f"{sj}*{si}*{sj}", holds))
-            else:
-                holds = (a * b == b * a)
-                checks.append(RelationCheck(f"{si}*{sj}", f"{sj}*{si}", holds))
+    for i, j, holds in relation_verdicts(r.images):
+        si, sj = f"s{i + 1}", f"s{j + 1}"
+        if j - i == 1:
+            checks.append(RelationCheck(f"{si}*{sj}*{si}", f"{sj}*{si}*{sj}", holds))
+        else:
+            checks.append(RelationCheck(f"{si}*{sj}", f"{sj}*{si}", holds))
     return VerificationReport(tuple(checks))
 
 

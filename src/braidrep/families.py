@@ -13,11 +13,13 @@ raw input included, is checked on demand by ``verify_braid_relations``.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field as dfield
 from fractions import Fraction
+from functools import reduce
 from typing import Iterable, Optional, Sequence
 
-from .fields import CC, PoleError, QZ, RatFunc, field_of, join
+from .fields import CC, QQ, QZ, PoleError, RatFunc, common_denominator, field_of, join
 from .matrices import Matrix, SingularMatrixError, block_diag
 
 
@@ -58,18 +60,61 @@ class Representation:
         return out
 
 
+class _IntegralMatrix:
+    """A square matrix over ZZ or ZZ[z], row-major: plain ints, or
+    polynomials with integer coefficients."""
+
+    __slots__ = ("n", "entries")
+
+    def __init__(self, n: int, entries: list):
+        self.n, self.entries = n, entries
+
+    def __mul__(self, other):
+        n, a = self.n, self.entries
+        cols = [other.entries[j::n] for j in range(n)]
+        return _IntegralMatrix(n, [reduce(operator.add, map(operator.mul, a[i:i + n], col))
+                                   for i in range(0, n * n, n) for col in cols])
+
+    def __eq__(self, other):
+        return self.entries == other.entries
+
+    def scale(self, d):
+        return _IntegralMatrix(self.n, [d * x for x in self.entries])
+
+
+def _denominator_free(m: Matrix) -> tuple:
+    """(d, A) with m = A / d and no denominator in d or A over QQ and QQ(z)
+    (``fields.common_denominator``); (1, m) over the other fields."""
+    if m.field is QQ or m.field is QZ:
+        d, nums = common_denominator(m.entries)
+        return d, _IntegralMatrix(m.rows, nums)
+    return 1, m
+
+
+def relation_verdicts(images: Sequence[Matrix]):
+    """Yield (i, j, holds) for every pair of generator images i < j.
+
+    Adjacent images A/d_i, B/d_j must satisfy the braid relation, decided
+    as d_j*(AB)A == d_i*B(AB) on the denominator-free parts; every other
+    pair must commute, AB == BA.  Each image is split once, and each pair
+    shares the one product AB.
+    """
+    split = [_denominator_free(m) for m in images]
+    for i, (di, a) in enumerate(split):
+        for j in range(i + 1, len(split)):
+            dj, b = split[j]
+            ab = a * b
+            if j == i + 1:
+                lhs, rhs = ab * a, b * ab
+                holds = lhs == rhs if di == dj else lhs.scale(dj) == rhs.scale(di)
+            else:
+                holds = ab == b * a
+            yield i, j, holds
+
+
 # No caller in the package; kept because the benchmark tracer binds this name.
 def braid_relations_hold(images: Sequence[Matrix]) -> bool:
-    for i in range(len(images)):
-        for j in range(i + 1, len(images)):
-            a, b = images[i], images[j]
-            if j - i == 1:
-                if not (a * b * a == b * a * b):
-                    return False
-            else:
-                if not (a * b == b * a):
-                    return False
-    return True
+    return all(holds for _, _, holds in relation_verdicts(images))
 
 
 def make_representation(braid_index: int, images: Sequence[Matrix],

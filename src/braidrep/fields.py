@@ -3,7 +3,8 @@
 Everything downstream works over one of four coefficient fields: the
 rationals QQ (stdlib ``Fraction``), the rational-function field QQ(z), the
 quadratic extension QQ(omega) with omega^2 + omega + 1 = 0, and the complex
-floating field CC, where equality holds within the scale-relative DEFAULT_EPS.
+floating field CC, where equality holds within the scale-relative DEFAULT_EPS
+and a value that is not finite raises OverflowError.
 All four are instances of one descriptor class that differ only in data.
 Integers and rationals embed canonically into every field; any other
 mixing of scalar kinds is rejected.
@@ -19,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Iterable
 
 DEFAULT_EPS = 1e-9
@@ -466,6 +467,36 @@ class RatFunc:
         return format_scalar(self)
 
 
+def common_denominator(values) -> tuple:
+    """(d, nums) with values[k] = nums[k] / d and no denominator in d or nums.
+
+    For rationals d is the lcm of the denominators and nums are ints.  For
+    elements of QQ(z), d and nums are polynomials with integer
+    coefficients.  Each x = (x.num.nums * x.den.den) / (x.num.den * q) with
+    q = x.den.nums primitive, because x.den is monic in lowest terms.  d is
+    the lcm of the integers x.num.den times a product of the distinct q,
+    taken largest degree first, where a q that divides the product so far
+    is left out; so the powers of one factor cost only the highest.  By
+    Gauss's lemma every quotient is exact over ZZ, and no gcd of
+    polynomials is taken.
+    """
+    if not values or not isinstance(values[0], RatFunc):
+        d = lcm(*(x.denominator for x in values))
+        return d, [x.numerator * (d // x.denominator) for x in values]
+    scale = lcm(*(x.num.den for x in values))
+    qs = sorted(dict.fromkeys(x.den.nums for x in values), key=len, reverse=True)
+    prod = _ONE
+    for q in qs:
+        if _pdivmod(prod.nums, q)[1]:
+            prod = prod * _poly(list(q))
+    cofactor = {q: _poly(_pdivmod(prod.nums, q)[0]) for q in qs}
+    nums = []
+    for x in values:
+        k = x.den.den * (scale // x.num.den)
+        nums.append(_poly([c * k for c in x.num.nums]) * cofactor[x.den.nums])
+    return _poly([c * scale for c in prod.nums]), nums
+
+
 # ---------------------------------------------------------------------------
 # The quadratic extension QQ(omega)
 
@@ -620,7 +651,13 @@ def _float_lift(value) -> complex:
 
 
 def _float_eq(a, b) -> bool:
-    return abs(a - b) <= DEFAULT_EPS * (1 + max(abs(a), abs(b)))
+    """The tolerance test; an infinite or nan value, where no tolerance test
+    means anything, raises OverflowError."""
+    size_a, size_b = abs(a), abs(b)
+    if not (isfinite(size_a) and isfinite(size_b)):
+        bad = b if isfinite(size_a) else a
+        raise OverflowError(f"floating-point overflow: {format_scalar(bad)} is not finite")
+    return abs(a - b) <= DEFAULT_EPS * (1 + max(size_a, size_b))
 
 
 _is_zero, _inv = operator.methodcaller("is_zero"), operator.methodcaller("inv")

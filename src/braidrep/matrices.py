@@ -13,10 +13,9 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Iterable, Sequence
 
-from .fields import CC, QQ, format_scalar
+from .fields import CC, QQ, common_denominator, format_scalar
 
 
 class SingularMatrixError(ValueError):
@@ -290,12 +289,6 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
 
-def _integer_row(values) -> list:
-    """Some rationals scaled to integers by the lcm of their denominators."""
-    den = lcm(*(x.denominator for x in values))
-    return [x.numerator * (den // x.denominator) for x in values]
-
-
 def _rational_is_invertible(a: Matrix) -> bool:
     """Invertibility over QQ by forward fraction-free elimination on ZZ.
 
@@ -307,7 +300,7 @@ def _rational_is_invertible(a: Matrix) -> bool:
     singular exactly when some column has no pivot.  There is no [M | I],
     no back-substitution and no ``Fraction``.
     """
-    m = [_integer_row(a.row(i)) for i in range(a.rows)]
+    m = [common_denominator(a.row(i))[1] for i in range(a.rows)]
     d = 1
     while m:
         k = next((k for k, row in enumerate(m) if row[0]), None)
@@ -334,7 +327,7 @@ def _rational_rref(a: Matrix):
     the result is the one a per-step loop over ``Fraction``s gives.
     """
     rows, cols = a.rows, a.cols
-    m = [_integer_row(a.row(i)) for i in range(rows)]
+    m = [common_denominator(a.row(i))[1] for i in range(rows)]
     pivots = []
     d = 1
     for c in range(cols):

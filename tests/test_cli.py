@@ -224,6 +224,28 @@ def test_float_overflow_after_parsing_is_exit_3(capsys):
     assert run(capsys, "show", "mu(1e200)") == (3, "", "error: complex exponentiation\n")
 
 
+# Products or powers that leave the double range: no tolerance test decides
+# inf or nan, so the floating field's equality raises instead of answering.
+@pytest.mark.parametrize("argv,shown", [
+    (("verify", "xi(1e200)"), "(inf+nanj)"),
+    (("verify", "burau(1e160)"), "(nan+nanj)"),
+    (("verify", "tensor(burau(1e100),burau(1e100))"), "(nan+nanj)"),
+    (("specialize", "mu(z)", "1e200"), "inf"),
+    (("specialize", "mu(z)", "1e100"), "(inf+nanj)"),
+], ids=["verify-xi", "verify-burau", "verify-tensor", "specialize-denominator",
+        "specialize-entry"])
+def test_float_overflow_in_a_check_is_exit_3(capsys, argv, shown):
+    assert run(capsys, *argv) == (
+        3, "", f"error: floating-point overflow: {shown} is not finite\n")
+
+
+def test_decompose_at_a_huge_float_loses_precision_without_overflow(capsys):
+    # Every value stays finite (at most 1e200); the basis change holds 1e-100
+    # next to 1, which rounds away, so the split is not block-diagonal.
+    assert run(capsys, "decompose", "tensor(burau(1e100),burau(1e100))") == (
+        1, "decomposition failed: splitting failed to block-diagonalize\n", "")
+
+
 @pytest.mark.parametrize("re_text,shown", [
     ("Infinity", "scalar JSON {'re': inf, 'im': 0.0} is not a finite float"),
     ("1e400", "scalar JSON {'re': inf, 'im': 0.0} is not a finite float"),

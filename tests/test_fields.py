@@ -7,7 +7,7 @@ import pytest
 
 from braidrep import (CC, Omega, Poly, PoleError, QQ, QW, QZ, RatFunc, field_of,
                       format_scalar, join, poly_gcd, TagMismatchError)
-from braidrep.fields import Field
+from braidrep.fields import Field, common_denominator
 
 from _gen import rand_fraction, rand_omega, rand_poly, rand_ratfunc
 
@@ -257,6 +257,42 @@ def test_field_of_dispatch():
 def test_float_equality_is_scale_relative():
     assert CC.eq(complex(1e12), complex(1e12 + 1))
     assert not CC.eq(complex(0), complex(1e-3))
+
+
+@pytest.mark.parametrize("value", [complex(float("inf")), complex(1e308, float("-inf")),
+                                   complex(float("nan"))], ids=["inf", "inf-imag", "nan"])
+def test_float_equality_and_zero_test_refuse_non_finite_values(value):
+    with pytest.raises(OverflowError, match="floating-point overflow"):
+        CC.eq(value, value)
+    with pytest.raises(OverflowError, match="floating-point overflow"):
+        CC.eq(complex(1), value)
+    with pytest.raises(OverflowError, match="floating-point overflow"):
+        CC.is_zero(value)
+    assert CC.eq(complex(1e308), complex(1e308)) and not CC.is_zero(complex(1e308))
+
+
+# -- common denominators -----------------------------------------------------
+
+def test_common_denominator_over_qq_is_the_lcm():
+    values = [Fraction(1, 6), Fraction(0), Fraction(-3, 4), Fraction(5)]
+    assert common_denominator(values) == (12, [2, 0, -9, 60])
+
+
+def test_common_denominator_keeps_only_the_highest_power_of_a_factor():
+    z, one = QZ.gen, QZ.one
+    values = [one / (z + 1), z / (z + 1) ** 3, (z + 2) / (2 * (z + 1) ** 2), QZ.zero, z]
+    d, nums = common_denominator(values)
+    assert d == 2 * (Z + 1) ** 3
+    assert nums == [2 * (Z + 1) ** 2, 2 * Z, (Z + 2) * (Z + 1), Poly(), 2 * Z * (Z + 1) ** 3]
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_common_denominator_over_qz_clears_every_denominator(seed):
+    rng = random.Random(seed)
+    values = [rand_ratfunc(rng, 2) for _ in range(9)]
+    d, nums = common_denominator(values)
+    assert all(p.den == 1 for p in [d] + nums)
+    assert [RatFunc(p, d) for p in nums] == values
 
 
 def test_format_scalar_basics():

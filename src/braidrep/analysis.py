@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .matrices import Matrix, hstack, vstack
-from .families import Representation, RepMeta, make_representation, relation_verdicts, xi
+from .families import (Representation, RepMeta, _check_compatible, make_representation,
+                       relation_verdicts, xi)
 
 DEFAULT_SEED = 12345
 
@@ -224,10 +225,7 @@ def intertwiners(r1: Representation, r2: Representation) -> list:
     Row-major vectorization turns each condition into the kernel of
     I (x) r1(s_i)^T - r2(s_i) (x) I; the stacked system is solved once.
     """
-    if r1.braid_index != r2.braid_index:
-        raise ValueError("braid index mismatch")
-    if r1.field != r2.field:
-        raise ValueError("field mismatch")
+    _check_compatible(r1, r2)
     field = r1.field
     n1, n2 = r1.dimension, r2.dimension
     i1 = Matrix.identity(n1, field)

@@ -67,19 +67,6 @@ def _emit(args, text: str):
         print(text)
 
 
-def _render(func, *values) -> str:
-    """The output text func(*values), with the interpreter's integer digit
-    limit reported as a domain error of the render stage."""
-    try:
-        return func(*values)
-    except ValueError as exc:
-        if "integer string conversion" not in str(exc):
-            raise
-        raise ValueError(f"render: the result holds an integer of more than "
-                         f"{sys.get_int_max_str_digits()} digits, the limit for "
-                         f"printing one") from None
-
-
 def _load(args) -> Representation:
     if getattr(args, "raw", None):
         try:
@@ -119,7 +106,7 @@ def _verification_payload(report) -> dict:
 
 def _cmd_show(args) -> int:
     rep = _load(args)
-    _emit(args, _render(_render_representation, rep, args.format))
+    _emit(args, _render_representation(rep, args.format))
     return 0
 
 
@@ -168,14 +155,14 @@ def _cmd_decompose(args) -> int:
     except DecompositionError as exc:
         _emit(args, f"decomposition failed: {exc}")
         return 1
-    _emit(args, _render(_render_decomposition, report, args.format))
+    _emit(args, _render_decomposition(report, args.format))
     return 0
 
 
 def _cmd_specialize(args) -> int:
     rep = _load(args)
     result = specialize(rep, parse_point(args.point))
-    _emit(args, _render(_render_representation, result, args.format))
+    _emit(args, _render_representation(result, args.format))
     return 0
 
 
@@ -196,7 +183,7 @@ def _cmd_isomorphic(args) -> int:
     if (n := r1.dimension * r2.dimension) > MAX_ISOMORPHIC_UNKNOWNS:
         raise ParseError(f"isomorphic has {n} unknowns, above the limit {MAX_ISOMORPHIC_UNKNOWNS}")
     report = is_isomorphic(r1, r2)
-    _emit(args, _render(_render_isomorphism, report, args.format))
+    _emit(args, _render_isomorphism(report, args.format))
     return 0 if report.verdict == "yes" else 1
 
 
@@ -232,7 +219,11 @@ def main(argv=None) -> int:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        message = str(exc)
+        if "integer string conversion" in message:  # raised only by printing a result
+            message = (f"render: the result holds an integer of more than "
+                       f"{sys.get_int_max_str_digits()} digits, the limit for printing one")
+        print(f"error: {message}", file=sys.stderr)
         return 3
 
 

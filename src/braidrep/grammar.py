@@ -10,6 +10,7 @@ Printing emits canonical forms that parse back to equal values.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from fractions import Fraction
 
@@ -25,17 +26,19 @@ class ParseError(ValueError):
     """Bad input text; the message carries the offending position."""
 
 
-# Size limits that keep any spec cheap to parse and build: the braid index
-# of ``xi`` (its relation check is quadratic in it), the result of one
-# ``^`` (binary powering is fast, but chained powers such as z^1000^1000
-# grow without bound), and the length of the input itself, which bounds
-# how many in-cap powers one spec or point can hold, and the size of a
-# ``--raw`` file.  Parentheses, unary minus and combinators may nest at most
-# MAX_NESTING deep inside a spec's outermost call or in a point, which keeps
-# the recursive parsing and printing far below the interpreter's recursion
-# limit.  MAX_DIMENSION bounds what a spec or ``--raw`` file builds, and
-# MAX_ISOMORPHIC_UNKNOWNS the n1*n2 intertwiner entries ``isomorphic`` solves
-# for; at either cap one command over QQ(z) takes about 2 s.
+# Size limits that bound what any spec costs to parse and build: the braid
+# index of ``xi`` (its relation check is quadratic in it), the predicted size
+# of each ``^`` and of each QQ(z) ``*``, ``/``, ``+`` and ``-`` (binary
+# powering is fast, but chained powers such as z^1000^1000 or products of
+# in-cap powers grow without bound), and the length of the input itself,
+# which bounds how many in-cap operations one spec or point can hold, and
+# the size of a ``--raw`` file.  Parentheses, unary minus and combinators
+# may nest at most MAX_NESTING deep inside a spec's outermost call or in a
+# point, which keeps the recursive parsing and printing far below the
+# interpreter's recursion limit.  MAX_DIMENSION bounds what a spec or
+# ``--raw`` file builds, and MAX_ISOMORPHIC_UNKNOWNS the n1*n2 intertwiner
+# entries ``isomorphic`` solves for; at either cap one command over QQ(z)
+# takes about 2 s.
 MAX_XI_BRAID_INDEX = 200
 MAX_POWER_DEGREE = 1024
 MAX_POWER_BITS = 4096
@@ -70,6 +73,9 @@ def _tokenize(text: str):
             continue
         tokens.append((m.lastgroup, m.group(), m.start()))
     return tokens
+
+
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 class _ScalarParser:
@@ -110,11 +116,10 @@ class _ScalarParser:
     def expr(self):
         value = self.term()
         while True:
-            kind, text, _ = self.peek()
+            kind, text, at = self.peek()
             if kind == "op" and text in "+-":
                 self.take()
-                rhs = self.term()
-                value = value + rhs if text == "+" else value - rhs
+                value = self.binary(text, at, value, self.term())
             else:
                 return value
 
@@ -124,16 +129,18 @@ class _ScalarParser:
             kind, text, at = self.peek()
             if kind == "op" and text in "*/":
                 self.take()
-                rhs = self.unary()
-                if text == "*":
-                    value = value * rhs
-                else:
-                    try:
-                        value = value / rhs
-                    except ZeroDivisionError:
-                        raise ParseError(f"division by zero at position {at}") from None
+                value = self.binary(text, at, value, self.unary())
             else:
                 return value
+
+    def binary(self, op, at, a, b):
+        """a op b; over QQ(z) the result's size is predicted and capped first."""
+        if self.field is QZ:
+            _check_size(f"{op!r} at position {at}", *_predict(op, a, b))
+        try:
+            return _OPERATORS[op](a, b)
+        except ZeroDivisionError:
+            raise ParseError(f"division by zero at position {at}") from None
 
     def unary(self):
         kind, text, at = self.peek()
@@ -157,9 +164,7 @@ class _ScalarParser:
                 raise ParseError(f"exponent must be an integer literal {_at(at)}")
             k = _int_literal(etext, at)
             degree, bits = _size(base)
-            if degree * k > MAX_POWER_DEGREE or bits * k > MAX_POWER_BITS:
-                raise ParseError(f"power ^{k} at position {at} exceeds the size limit "
-                                 f"(degree {MAX_POWER_DEGREE}, {MAX_POWER_BITS} bits)")
+            _check_size(f"power ^{k} at position {at}", degree * k, bits * k)
             try:
                 base = base ** k
             except OverflowError:  # a float base leaves the double range
@@ -231,6 +236,40 @@ def _size(v) -> tuple:
     return 0, 0  # floats keep their size
 
 
+def _part(p: Poly) -> tuple:
+    """Degree and largest numerator or denominator bit length of a polynomial."""
+    return p.degree, max(map(int.bit_length, (p.den, *p.nums)))
+
+
+def _times(x: tuple, y: tuple) -> tuple:
+    return x[0] + y[0], x[1] + y[1]
+
+
+def _predict(op: str, a: RatFunc, b: RatFunc) -> tuple:
+    """Largest degree and numerator or denominator bit length of the parts
+    ``RatFunc`` forms for a op b before it cancels their gcd.  A product or
+    quotient adds its factors' sizes, as a power multiplies its base's, and
+    a sum takes one bit more than its larger term."""
+    an, ad, bn, bd = map(_part, (a.num, a.den, b.num, b.den))
+    if op == "*":
+        parts = _times(an, bn), _times(ad, bd)
+    elif op == "/":
+        parts = _times(an, bd), _times(ad, bn)
+    else:
+        if a.den == b.den:
+            terms, den = (an, bn), ad
+        else:
+            terms, den = (_times(an, bd), _times(bn, ad)), _times(ad, bd)
+        parts = (max(t[0] for t in terms), max(t[1] for t in terms) + 1), den
+    return max(p[0] for p in parts), max(p[1] for p in parts)
+
+
+def _check_size(what: str, degree: int, bits: int):
+    if degree > MAX_POWER_DEGREE or bits > MAX_POWER_BITS:
+        raise ParseError(f"{what} exceeds the size limit "
+                         f"(degree {MAX_POWER_DEGREE}, {MAX_POWER_BITS} bits)")
+
+
 def parse_scalar(text: str):
     """Parse a scalar expression, choosing the field from the tokens present.
 
@@ -280,6 +319,9 @@ _FAMILIES = {
 }
 
 _COMBINATORS = {"tensor": tensor, "direct_sum": direct_sum, "dual": dual}
+
+# provenance names that format_spec prints with no parameters
+_BARE_FAMILIES = ("standard_s3", "raw", "block")
 
 
 def _split_top_level(text: str, sep: str) -> list:
@@ -383,9 +425,7 @@ def format_spec(meta: RepMeta) -> str:
     if name in _COMBINATORS:
         inner = ",".join(format_spec(c) for c in meta.children)
         return f"{name}({inner})"
-    if name == "standard_s3":
-        return "standard_s3"
-    if name in ("raw", "block"):
+    if name in _BARE_FAMILIES:
         return name
     parts = [format_scalar(meta.params["z"])]
     extras = [f"{k}={format_scalar(v)}" for k, v in meta.params.items()
@@ -465,6 +505,43 @@ def representation_to_json(r: Representation) -> dict:
             "meta": meta_to_json(r.meta)}
 
 
+def meta_from_json(obj, depth: int = 0) -> RepMeta:
+    """The ``RepMeta`` that ``meta_to_json`` writes, checked as outside input.
+
+    A missing family is ``raw``, and missing params or children are empty.
+    Children nest at most MAX_NESTING deep, and each string param is at
+    most MAX_SPEC_CHARS long.
+    """
+    def bad(why: str):
+        return ParseError(f"bad representation JSON: meta {why}")
+
+    if not isinstance(obj, dict):
+        raise bad(f"must be an object, got {obj!r}")
+    family = obj.get("family", "raw")
+    params = obj.get("params") or {}
+    children = obj.get("children") or []
+    if not isinstance(family, str):
+        raise bad(f"family must be a string, got {family!r}")
+    if not isinstance(params, dict):
+        raise bad(f"params must be an object, got {params!r}")
+    if not isinstance(children, list):
+        raise bad(f"children must be a list, got {children!r}")
+    if children and depth == MAX_NESTING:
+        raise bad(f"children nest deeper than {MAX_NESTING} levels")
+    values = {}
+    for key, v in params.items():
+        if isinstance(v, str):
+            _check_length(v, f"bad representation JSON: meta param {key!r}")
+            values[key] = parse_scalar(v)
+        elif isinstance(v, int) and not isinstance(v, bool):
+            values[key] = v
+        else:
+            raise bad(f"param {key!r} must be a string or an integer, got {v!r}")
+    if "z" not in values and family not in (*_COMBINATORS, *_BARE_FAMILIES):
+        raise bad(f"family {family!r} needs param 'z'")
+    return RepMeta(family, values, tuple(meta_from_json(c, depth + 1) for c in children))
+
+
 def representation_from_json(obj: dict) -> Representation:
     try:
         braid_index = obj["braid_index"]
@@ -474,11 +551,7 @@ def representation_from_json(obj: dict) -> Representation:
     if not isinstance(braid_index, int) or isinstance(braid_index, bool):
         raise ParseError(f"bad representation JSON: braid_index must be an integer, "
                          f"got {braid_index!r}")
-    meta_obj = obj.get("meta") or {}
-    params = {k: (v if isinstance(v, int) else parse_scalar(v))
-              for k, v in (meta_obj.get("params") or {}).items()}
-    meta = RepMeta(meta_obj.get("family", "raw"), params)
-    return make_representation(braid_index, images, meta)
+    return make_representation(braid_index, images, meta_from_json(obj.get("meta") or {}))
 
 
 # ---------------------------------------------------------------------------

@@ -260,14 +260,13 @@ class Matrix:
     def is_invertible(self) -> bool:
         """Whether the square matrix has an inverse.
 
-        Over QQ a forward fraction-free elimination on integers decides it
-        without computing the inverse (``_rational_is_invertible``); the
-        other fields run the Gauss-Jordan of ``inverse``.
+        Over QQ the fraction-free elimination of ``rref`` decides it from its
+        pivots, with no ``Fraction``; the other fields run ``inverse``.
         """
         if self.rows != self.cols:
             raise ValueError("inverse requires a square matrix")
         if self.field is QQ:
-            return _rational_is_invertible(self)
+            return _rational_eliminate(self)[1] == tuple(range(self.rows))
         try:
             self.inverse()
         except SingularMatrixError:
@@ -289,31 +288,7 @@ class Matrix:
         return f"Matrix({self.rows}x{self.cols} over {self.field!r})"
 
 
-def _rational_is_invertible(a: Matrix) -> bool:
-    """Invertibility over QQ by forward fraction-free elimination on ZZ.
-
-    Rows are scaled to integers as in ``_rational_rref``.  Each step pivots
-    on the first remaining row with a nonzero leading entry pv, and every
-    other remaining row becomes (pv*x - f*y) / d with d the previous pivot,
-    dropping the pivot column.  The entries stay minors of the scaled
-    matrix, so the division is exact (Bareiss 1968).  The matrix is
-    singular exactly when some column has no pivot.  There is no [M | I],
-    no back-substitution and no ``Fraction``.
-    """
-    m = [common_denominator(a.row(i))[1] for i in range(a.rows)]
-    d = 1
-    while m:
-        k = next((k for k, row in enumerate(m) if row[0]), None)
-        if k is None:
-            return False
-        top = m.pop(k)
-        pv = top[0]
-        m = [[(pv * x - row[0] * y) // d for x, y in zip(row[1:], top[1:])] for row in m]
-        d = pv
-    return True
-
-
-def _rational_rref(a: Matrix):
+def _rational_eliminate(a: Matrix):
     """Gauss-Jordan over QQ, run fraction-free over ZZ.
 
     Each row is first scaled by the lcm of its denominators, which leaves
@@ -323,8 +298,7 @@ def _rational_rref(a: Matrix):
     the scaled matrix, so the division is exact (Bareiss 1968; the
     Gauss-Jordan form of Nakos, Turner and Williams 1997) and the integers
     grow no larger than those minors.  All pivots end equal to the last
-    one, and the pivot rows are divided by it once.  The rref is unique, so
-    the result is the one a per-step loop over ``Fraction``s gives.
+    one, d.  Returns the integer rows, the pivot columns and d.
     """
     rows, cols = a.rows, a.cols
     m = [common_denominator(a.row(i))[1] for i in range(rows)]
@@ -350,11 +324,21 @@ def _rational_rref(a: Matrix):
                 m[i] = [pv * x // d for x in m[i]]
         pivots.append(c)
         d = pv
+    return m, tuple(pivots), d
+
+
+def _rational_rref(a: Matrix):
+    """The rref of ``_rational_eliminate``: its pivot rows divided by d once.
+
+    The rref is unique, so the result is the one a per-step loop over
+    ``Fraction``s gives.
+    """
+    m, pivots, d = _rational_eliminate(a)
     rank = len(pivots)
     zero = Fraction(0)
     ent = [Fraction(x, d) if x else zero for i in range(rank) for x in m[i]]
-    ent += [zero] * ((rows - rank) * cols)
-    return Matrix(rows, cols, ent, QQ), tuple(pivots)
+    ent += [zero] * ((a.rows - rank) * a.cols)
+    return Matrix(a.rows, a.cols, ent, QQ), pivots
 
 
 def _normalize_leading_one(v: Matrix) -> Matrix:

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -80,6 +81,14 @@ def test_zero_divisors_and_oversized_specs_are_exit_2(capsys, spec, message):
     code, out, err = run(capsys, "show", spec)
     assert (code, out) == (2, "")
     assert err.startswith(f"parse error: {message}")
+
+
+def test_chained_in_cap_powers_are_exit_2_before_the_product(capsys):
+    start = time.perf_counter()
+    result = run(capsys, "verify", "xi((z+1)^1024*(z+1)^1024)")
+    assert time.perf_counter() - start < 1
+    assert result == (2, "", "parse error: '*' at position 10 exceeds the size limit "
+                             "(degree 1024, 4096 bits)\n")
 
 
 # one digit more than the interpreter converts from a string to an int
@@ -322,6 +331,57 @@ def test_verify_raw_zero_divisor_is_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--raw", raw_rep(tmp_path, images=images))
     assert code == 2
     assert "division by zero in scalar JSON {'num': ['1'], 'den': ['0']}" in err
+
+
+def nested_meta(depth):
+    meta = {"family": "raw"}
+    for _ in range(depth):
+        meta = {"family": "dual", "children": [meta]}
+    return meta
+
+
+@pytest.mark.parametrize("meta,message", [
+    (5, "meta must be an object, got 5"),
+    ({"family": "burau", "params": [1, 2]}, "meta params must be an object, got [1, 2]"),
+    ({"family": "burau", "params": {"z": [1]}},
+     "meta param 'z' must be a string or an integer, got [1]"),
+    ({"family": "mu", "params": {}}, "meta family 'mu' needs param 'z'"),
+    ({"family": 5, "params": {"z": "2"}}, "meta family must be a string, got 5"),
+    ({"family": "xi", "params": {"z": "2", "n": True}},
+     "meta param 'n' must be a string or an integer, got True"),
+    ({"family": "burau", "params": {"z": "1" + "+1" * (grammar.MAX_SPEC_CHARS // 2)}},
+     f"meta param 'z' of {grammar.MAX_SPEC_CHARS + 1} characters is longer than the "
+     f"limit {grammar.MAX_SPEC_CHARS}"),
+    ({"family": "tensor", "children": "ab"}, "meta children must be a list, got 'ab'"),
+    ({"family": "tensor", "children": [{"family": "burau"}, 5]},
+     "meta family 'burau' needs param 'z'"),
+    (nested_meta(grammar.MAX_NESTING + 1),
+     f"meta children nest deeper than {grammar.MAX_NESTING} levels"),
+], ids=["not-object", "params-list", "param-list", "missing-z", "family-int", "param-bool",
+        "param-too-long", "children-string", "bad-child", "too-deep"])
+def test_malformed_raw_meta_is_exit_2(capsys, tmp_path, meta, message):
+    assert run(capsys, "show", "--raw", raw_rep(tmp_path, meta=meta)) == (
+        2, "", f"parse error: bad representation JSON: {message}\n")
+
+
+@pytest.mark.parametrize("meta,family", [
+    (None, "raw"),
+    ({"family": "raw", "params": {}}, "raw"),
+    ({"family": "xi", "params": {"z": "z+1", "n": 4}}, "xi(z + 1; n=4)"),
+    (nested_meta(grammar.MAX_NESTING),
+     "dual(" * grammar.MAX_NESTING + "raw" + ")" * grammar.MAX_NESTING),
+])
+def test_raw_meta_is_printed(capsys, tmp_path, meta, family):
+    code, out, _ = run(capsys, "show", "--raw", raw_rep(tmp_path, meta=meta))
+    assert (code, out.splitlines()[0]) == (0, f"family: {family}")
+
+
+def test_show_raw_round_trip_prints_children(capsys, tmp_path):
+    out = run(capsys, "show", "tensor(burau(2),burau(2))", "--format", "json")[1]
+    path = tmp_path / "rep.json"
+    path.write_text(out)
+    assert run(capsys, "show", "--raw", str(path))[1].startswith(
+        "family: tensor(burau(2),burau(2))\n")
 
 
 @pytest.mark.parametrize("module", ["braidrep", "braidrep.cli"])

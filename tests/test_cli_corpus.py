@@ -4,7 +4,9 @@ Each case runs ``cli.main`` in-process and hashes its stdout, stderr and
 exit code together.  The corpus covers every subcommand in every format
 over QQ, QQ(z), QQ(omega) and the floating field, specialization at
 rational, omega and float points and at poles, excluded parameters, the
-random-probe branch of ``is_isomorphic`` and one suite run.  A change that
+random-probe branch of ``is_isomorphic``, one suite run, QQ(z) values at
+and over the size limit, results over the interpreter's integer digit
+limit, and ``--raw`` files with malformed metas.  A change that
 keeps every output must leave every digest as it is.
 """
 
@@ -14,6 +16,11 @@ import json
 import pytest
 
 from braidrep import cli
+from braidrep.grammar import parse_family_spec, representation_to_json
+
+# under the interpreter's integer string limit, so each literal parses; the
+# product and mu's z^4 hold more digits than the limit lets print
+DIGITS_4000 = "7" * 4000
 
 CASES = {
     "show-burau-text": ["show", "burau(z)"],
@@ -82,6 +89,22 @@ CASES = {
     "raw-verify-float-json": ["verify", "--raw", "float-burau.json", "--format", "json"],
     "raw-decompose-float": ["decompose", "--raw", "float-burau.json"],
     "raw-verify-perturbed": ["verify", "--raw", "perturbed-burau.json"],
+    "parse-product-over-cap": ["verify", "xi((z+1)^1024*(z+1)^1024)"],
+    "show-power-at-cap": ["show", "xi((z+1)^1024)"],
+    "show-product-at-cap": ["show", "xi((z+1)^512*(z+1)^512)"],
+    "render-digit-limit-text": ["show", f"xi({DIGITS_4000}*{DIGITS_4000})"],
+    "render-digit-limit-json": ["show", f"xi({DIGITS_4000}*{DIGITS_4000})", "--format", "json"],
+    "render-digit-limit-mu": ["show", f"mu({DIGITS_4000}/3)"],
+    "render-digit-limit-specialize-latex": ["specialize", "mu(z)", f"{DIGITS_4000}/3",
+                                            "--format", "latex"],
+    "raw-show-tensor-round-trip": ["show", "--raw", "tensor-burau-2.json"],
+    "raw-meta-not-object": ["show", "--raw", "meta-not-object.json"],
+    "raw-meta-params-list": ["show", "--raw", "meta-params-list.json"],
+    "raw-meta-param-list": ["show", "--raw", "meta-param-list.json"],
+    "raw-meta-missing-z": ["show", "--raw", "meta-missing-z.json"],
+    "raw-meta-family-int": ["show", "--raw", "meta-family-int.json"],
+    "raw-meta-param-bool": ["show", "--raw", "meta-param-bool.json"],
+    "raw-meta-param-too-long": ["show", "--raw", "meta-param-too-long.json"],
 }
 
 
@@ -90,14 +113,30 @@ def _float_matrix(rows):
             "entries": [[{"re": x, "im": 0.0} for x in row] for row in rows]}
 
 
-# --raw files, written to a temporary directory under these names; burau(-0.5)
-# over the floating field, and burau(5/7) with one entry of sigma_2 moved
+def _burau_5_7(meta):
+    return {"braid_index": 3, "meta": meta, "images": [
+        {"rows": 2, "cols": 2, "entries": [["-5/7", "0"], ["1", "1"]]},
+        {"rows": 2, "cols": 2, "entries": [["1", "5/7"], ["0", "-5/7"]]}]}
+
+
+# --raw files, written to a temporary directory under these names: burau(-0.5)
+# over the floating field, burau(5/7) with one entry of sigma_2 moved, the
+# JSON of tensor(burau(2),burau(2)), and burau(5/7) under malformed metas
 RAW_FILES = {
     "float-burau.json": {"braid_index": 3, "images": [
         _float_matrix([[0.5, 0.0], [1.0, 1.0]]), _float_matrix([[1.0, -0.5], [0.0, 0.5]])]},
     "perturbed-burau.json": {"braid_index": 3, "images": [
         {"rows": 2, "cols": 2, "entries": [["-5/7", "0"], ["1", "1"]]},
         {"rows": 2, "cols": 2, "entries": [["2", "5/7"], ["0", "-5/7"]]}]},
+    "tensor-burau-2.json": representation_to_json(parse_family_spec("tensor(burau(2),burau(2))")),
+    "meta-not-object.json": _burau_5_7(5),
+    "meta-params-list.json": _burau_5_7({"family": "burau", "params": [1, 2]}),
+    "meta-param-list.json": _burau_5_7({"family": "burau", "params": {"z": [1]}}),
+    "meta-missing-z.json": _burau_5_7({"family": "mu", "params": {}}),
+    "meta-family-int.json": _burau_5_7({"family": 5, "params": {"z": "2"}}),
+    "meta-param-bool.json": _burau_5_7({"family": "xi", "params": {"z": "2", "n": True}}),
+    "meta-param-too-long.json": _burau_5_7({"family": "burau",
+                                            "params": {"z": "1" + "+1" * 10_000}}),
 }
 
 DIGESTS = {
@@ -147,16 +186,42 @@ DIGESTS = {
         "da9d20977376006ea056ec226d049ab4193db63e292c6465410c2a231f26ab34",
     "parse-missing-spec":
         "08018fe09af9cac6b0076c171859c3d5f3584ea30e899fb8e81918092ed07894",
+    "parse-product-over-cap":
+        "724d20f58209a93852ef53f4b72d68e12a68f9240121717c13d19fd6c6f92f6f",
     "parse-unknown-family":
         "ff1e403e2f2419b29839523cbc7409cb37db6b91f8798f8899322bc8e6e132d1",
     "raw-decompose-float":
         "32ff263e3e778d9cb8dfd70564f5472206feb5cc5cb0e5fb38689b9c264fd774",
+    "raw-meta-family-int":
+        "3bca250d054fac6d1e32969410e4a0824384a56a24854ae2c8d54df5dc9dde32",
+    "raw-meta-missing-z":
+        "969464390df6970537134483837cb3658868950070873ec4349dc350fccacfb5",
+    "raw-meta-not-object":
+        "e6e39a8319198f1ab7c248336e53060780294c74cbeee62712ede47c0d9de518",
+    "raw-meta-param-bool":
+        "465fa9c2dc36d011142e44def94f51ccb63ba01082f220630c23e5fbaf99459e",
+    "raw-meta-param-list":
+        "ef2b9df800dcc86da37d66a105200912f117d6d7cf19175e695e12514f91ff06",
+    "raw-meta-param-too-long":
+        "da59959b052c51c94ee078addb652332636488c3451bf1897918b8e43123fb41",
+    "raw-meta-params-list":
+        "4fa734de57deefcf59fcb0c449ce3ff5d9fc562d40c248f4aff52d4aa7917e5a",
     "raw-show-float":
         "e5d255ddd0bcd2045f02559789bfd31715623af6f37ac7d104c90039df9b258b",
+    "raw-show-tensor-round-trip":
+        "19f9bf6729159c992bb691853ab0c5b41c91ce75821a2ed8f751cb8c666e2082",
     "raw-verify-float-json":
         "17ca88b5d196d52996b5f8c101e8357e7a668ed56120ef625b7c54089e70e799",
     "raw-verify-perturbed":
         "7fa6a7af46b28ce26bc9f5e64ea23314f9837efce05872b49cd7390a187f85be",
+    "render-digit-limit-json":
+        "5b371e465d51966849669da0e1f125f439b9dcce74500639e4d190056bc4f049",
+    "render-digit-limit-mu":
+        "5b371e465d51966849669da0e1f125f439b9dcce74500639e4d190056bc4f049",
+    "render-digit-limit-specialize-latex":
+        "5b371e465d51966849669da0e1f125f439b9dcce74500639e4d190056bc4f049",
+    "render-digit-limit-text":
+        "5b371e465d51966849669da0e1f125f439b9dcce74500639e4d190056bc4f049",
     "show-burau-diag-latex":
         "f71633e09fa1dacd8ff93186bed5b9105bf6a671f7f4a3e228b18d3380f6c162",
     "show-burau-json":
@@ -183,6 +248,10 @@ DIGESTS = {
         "6dace23d24427c14290aa0655a73c4b2647af38db7169e596d467362b88ba958",
     "show-mu-text":
         "479a128663362c722ea5d335f47c8514f9beaa3d251b8f3f81caf3d83256ea68",
+    "show-power-at-cap":
+        "af4cf24fbe001b7b1051a7a15e98cf0a0a06e8bacc500fc984ba8bdbf92cbcde",
+    "show-product-at-cap":
+        "af4cf24fbe001b7b1051a7a15e98cf0a0a06e8bacc500fc984ba8bdbf92cbcde",
     "show-tensor-json":
         "fb0b38abe7693ab741b0bc9e894ef2e953672a1a202223f5d90d40d3cf9774ab",
     "show-thm1-i":

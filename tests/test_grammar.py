@@ -3,6 +3,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -89,6 +90,26 @@ def test_powers_are_capped_before_they_are_computed():
             parse_scalar(text)
     assert parse_scalar(f"(3/2)^{MAX_POWER_BITS // 2}") == Fraction(3, 2) ** (MAX_POWER_BITS // 2)
     assert parse_scalar("1.0^100000") == complex(1.0)  # floats do not grow
+
+
+def test_qqz_operators_are_capped_before_they_are_computed():
+    half = MAX_POWER_DEGREE // 2
+    assert parse_scalar(f"z^{half}*z^{half}").num.degree == MAX_POWER_DEGREE
+    assert parse_scalar(f"(z+1)^{half}/(z-1)^{half}").den.degree == half
+    assert parse_scalar(f"z^{MAX_POWER_DEGREE}*(1/z)").num.degree == MAX_POWER_DEGREE - 1
+    for text, at in [(f"(z+1)^{MAX_POWER_DEGREE}*(z+1)^{MAX_POWER_DEGREE}", "'*' at position 10"),
+                     (f"z^{MAX_POWER_DEGREE}*z", "'*' at position 6"),
+                     ("z^1000/(1/z^100)", "'/' at position 6"),
+                     ("z^1000/(z+1)^100+1/(z-1)^100", "'+' at position 16"),
+                     ("z^1000/(z+1)^100-1/(z-1)^100", "'-' at position 16"),
+                     (f"(2^{MAX_POWER_BITS // 2}*z)*(2^{MAX_POWER_BITS // 2}*z)",
+                      "'*' at position 10")]:
+        with pytest.raises(ParseError, match=f"^{re.escape(at)} exceeds the size limit"):
+            parse_scalar(text)
+    # QQ and QQ(omega) values keep only the power cap
+    big = f"(3/2)^{MAX_POWER_BITS // 2}"
+    assert parse_scalar(f"{big}*{big}") == Fraction(3, 2) ** MAX_POWER_BITS
+    assert parse_scalar(f"omega^{MAX_POWER_BITS}*omega^{MAX_POWER_BITS}") == parse_scalar("omega^2")
 
 
 def test_xi_braid_index_is_capped():
@@ -217,6 +238,11 @@ def test_representation_json_round_trip():
     assert all(a == b for a, b in zip(back.images, rep.images))
     assert back.meta.family == "thm1_i"
     assert back.meta.params["f"] == QZ.one
+
+
+def test_representation_json_round_trip_keeps_children():
+    rep = parse_family_spec("tensor(burau(2),dual(xi(3; n=3)))")
+    assert representation_from_json(representation_to_json(rep)).meta == rep.meta
 
 
 def test_representation_json_of_specialized_rep():

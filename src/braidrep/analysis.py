@@ -15,8 +15,7 @@ for each candidate lambda.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .matrices import Matrix, hstack, vstack
 from .families import (Representation, RepMeta, _check_compatible, make_representation,
@@ -29,15 +28,13 @@ class DecompositionError(ValueError):
     """No direct-sum splitting could be produced."""
 
 
-@dataclass(frozen=True)
-class RelationCheck:
+class RelationCheck(NamedTuple):
     lhs: str
     rhs: str
     holds: bool
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     checks: tuple
 
     @property
@@ -45,15 +42,13 @@ class VerificationReport:
         return all(c.holds for c in self.checks)
 
 
-@dataclass(frozen=True)
-class InvariantLine:
+class InvariantLine(NamedTuple):
     eigenvalue: object
     vector: Matrix  # column vector; for side "left" it is the functional's coordinates
     side: str       # "right" or "left"
 
 
-@dataclass(frozen=True)
-class IrreducibilityReport:
+class IrreducibilityReport(NamedTuple):
     irreducible: bool
     reason: str
     witness: Optional[InvariantLine] = None
@@ -62,15 +57,13 @@ class IrreducibilityReport:
         return self.irreducible
 
 
-@dataclass(frozen=True)
-class DecompositionReport:
+class DecompositionReport(NamedTuple):
     basis_change: Matrix
     blocks: tuple
     witnesses: tuple
 
 
-@dataclass(frozen=True)
-class IsomorphismReport:
+class IsomorphismReport(NamedTuple):
     verdict: str  # "yes", "no" or "undecided"
     conjugator: Optional[Matrix] = None
 

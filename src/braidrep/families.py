@@ -14,10 +14,10 @@ raw input included, is checked on demand by ``verify_braid_relations``.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from functools import reduce
-from typing import Iterable, Optional, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .fields import CC, QQ, QZ, PoleError, RatFunc, common_denominator, field_of, join
 from .matrices import Matrix, SingularMatrixError, block_diag
@@ -27,17 +27,15 @@ class ParameterError(ValueError):
     """A constructor parameter sits outside the family's domain."""
 
 
-@dataclass(frozen=True)
-class RepMeta:
+class RepMeta(NamedTuple):
     """Provenance: family name, parameter bindings, combinator children."""
 
     family: str
-    params: dict = dfield(default_factory=dict)
+    params: Mapping = MappingProxyType({})  # one read-only default for every meta
     children: tuple = ()
 
 
-@dataclass(frozen=True)
-class Representation:
+class Representation(NamedTuple):
     braid_index: int
     images: tuple
     meta: RepMeta

@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import random
 import tempfile
-from dataclasses import dataclass, field as dfield
 from fractions import Fraction
 from pathlib import Path
 
@@ -28,18 +27,22 @@ from .analysis import (DEFAULT_SEED, DecompositionError, common_invariant_lines,
 from .grammar import format_scalar, matrix_to_json, scalar_to_json
 
 
-@dataclass
 class CheckResult:
-    check_id: str
-    description: str
-    status: str  # "pass", "fail" or "reported"
-    details: dict = dfield(default_factory=dict)
+    """One check's outcome; ``_fail`` marks it failed and records why."""
+
+    __slots__ = ("check_id", "description", "status", "details")
+
+    def __init__(self, check_id: str, description: str, status: str):
+        self.check_id, self.description = check_id, description
+        self.status = status  # "pass", "fail" or "reported"
+        self.details = {}
 
 
-@dataclass
 class SuiteResult:
-    seed: int
-    checks: list
+    __slots__ = ("seed", "checks")
+
+    def __init__(self, seed: int, checks: list):
+        self.seed, self.checks = seed, checks
 
     @property
     def exit_code(self) -> int:

@@ -1,19 +1,26 @@
-"""Every name the benchmark's tracer wraps must still exist in the package.
+"""Every name the benchmark's tracer wraps or its workloads call must still exist.
 
 ``perfbench/tracer.py`` rebinds a list of braidrep functions and methods
-for a traced run (``perfbench/run.py --trace 1``).  A deletion or rename in
-the package that drops one of them would break that run, so the lists are
-read here and each entry resolved.  Loading the tracer imports no braidrep
-code.
+for a traced run (``perfbench/run.py --trace 1``), and
+``perfbench/workloads.py`` calls braidrep through module attributes such as
+``families.theorem1_i``.  A deletion or rename in the package that drops one
+of them would break a benchmark run, so the tracer's lists are read here,
+the workloads' names are read from their source with ``ast``, and each
+entry is resolved.  Neither step imports benchmark code that imports
+braidrep.
 """
 
+import ast
 import importlib
 import importlib.util
+from functools import reduce
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
+WORKLOADS = PERFBENCH / "workloads.py"
 
 
 def _load_tracer():
@@ -37,3 +44,31 @@ def test_traced_methods_are_defined_on_their_class(entry):
     _, modname, clsname, methods, _ = entry
     cls = getattr(importlib.import_module(modname), clsname)
     assert [m for m in methods if m not in cls.__dict__] == []
+
+
+def _workload_names():
+    """Dotted names like ``fields.RatFunc.gen`` rooted at a module that
+    ``workloads.py`` imports with ``from braidrep import ...``."""
+    tree = ast.parse(WORKLOADS.read_text())
+    modules = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module == "braidrep"
+               for alias in node.names}
+    names = set()
+    for node in ast.walk(tree):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if parts and isinstance(node, ast.Name) and node.id in modules:
+            names.add(".".join([modules[node.id]] + parts[::-1]))
+    return sorted(names)
+
+
+def test_workloads_use_braidrep_names():
+    assert {"families.theorem1_i", "fields.Omega", "suite.ALL_CHECKS"} <= set(_workload_names())
+
+
+@pytest.mark.parametrize("name", _workload_names())
+def test_workload_name_resolves(name):
+    root, *attrs = name.split(".")
+    reduce(getattr, attrs, importlib.import_module(f"braidrep.{root}"))

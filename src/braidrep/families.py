@@ -341,27 +341,31 @@ def dual(r: Representation) -> Representation:
 def specialize(r: Representation, point) -> Representation:
     """Evaluate every entry at the point; the result carries the point's field.
 
-    Fails with PoleError naming the offending entry when the point hits a
-    denominator zero.
+    The parameters of the provenance, combinator children included, are
+    evaluated too.  Fails with PoleError naming the first offending entry,
+    in row-major order, when the point hits a denominator zero.
     """
     if r.field is not QZ:
         raise ParameterError("specialize requires symbolic entries over QQ(z)")
     target = field_of(point)
     if target is CC:
         point = target.coerce(point)
-
-    def ev(entry: RatFunc, where: str):
-        try:
-            return entry.evaluate(point)
-        except PoleError:
-            raise PoleError(f"pole at specialization point in {where}") from None
-
     images = []
     for g, m in enumerate(r.images, start=1):
-        ent = [ev(m[i, j], f"generator {g} entry ({i + 1},{j + 1})")
-               for i in range(m.rows) for j in range(m.cols)]
+        ent = []
+        try:
+            for e in m.entries:
+                ent.append(e.evaluate(point))
+        except PoleError:
+            i, j = divmod(len(ent), m.cols)
+            raise PoleError(f"pole at specialization point in generator {g} "
+                            f"entry ({i + 1},{j + 1})") from None
         images.append(Matrix(m.rows, m.cols, ent, target))
+    return make_representation(r.braid_index, images, _specialize_meta(r.meta, point))
+
+
+def _specialize_meta(meta: RepMeta, point) -> RepMeta:
     params = {k: (v.evaluate(point) if isinstance(v, RatFunc) else v)
-              for k, v in r.meta.params.items()}
-    meta = RepMeta(r.meta.family, params, r.meta.children)
-    return make_representation(r.braid_index, images, meta)
+              for k, v in meta.params.items()}
+    return RepMeta(meta.family, params,
+                   tuple(_specialize_meta(c, point) for c in meta.children))

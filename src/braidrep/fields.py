@@ -254,18 +254,10 @@ class Poly:
         rounded float (int true division rounds correctly, as
         ``float(Fraction)`` does), highest degree first, so float results
         depend only on the coefficients' values.  Exact fields run Horner on
-        the integer numerators and divide by the common denominator once;
-        over QQ the whole evaluation stays in ints.
+        the integer numerators and divide by the common denominator once.
+        A rational point is evaluated in ints by ``RatFunc.evaluate``.
         """
         nums, den = self.nums, self.den
-        if field is QQ:
-            # sum of c_k p^k q^(n-k), over q^n * den
-            p, q = point.numerator, point.denominator
-            acc, qk = 0, 1
-            for c in reversed(nums):
-                acc = acc * p + c * qk
-                qk *= q
-            return Fraction(acc * q, den * qk)
         acc = field.zero
         if field is CC:
             for c in reversed(nums):
@@ -314,6 +306,15 @@ def poly_gcd(p: Poly, q: Poly) -> Poly:
 
 # ---------------------------------------------------------------------------
 # The rational-function field QQ(z)
+
+
+def _homogeneous(nums, p: int, q: int) -> int:
+    """q^n times the integer polynomial of degree n at p/q, by Horner."""
+    acc, qk = 0, 1
+    for c in reversed(nums):
+        acc = acc * p + c * qk
+        qk *= q
+    return acc
 
 
 def _reduced(num: Poly, den: Poly) -> "RatFunc":
@@ -442,9 +443,25 @@ class RatFunc:
     def evaluate(self, point):
         """Substitute ``point`` for z; the result carries the point's field.
 
-        Raises PoleError when the reduced denominator vanishes at the point.
+        At a rational p/q both parts run Horner on their integer numerators,
+        N = sum of c_k p^k q^(n-k) for a part of degree n, and the value is
+        built as one ``Fraction``.  Raises PoleError when the reduced
+        denominator vanishes at the point.
         """
         field = field_of(point)
+        if field is QQ:
+            p, q = point.numerator, point.denominator
+            num, den = _homogeneous(self.num.nums, p, q), _homogeneous(self.den.nums, p, q)
+            if not den:
+                raise PoleError("pole at specialization point")
+            # (num / (q^a * num.den)) / (den / (q^b * den.den)), a and b the degrees
+            num, den = num * self.den.den, den * self.num.den
+            shift = len(self.den.nums) - len(self.num.nums)
+            if shift > 0:
+                num *= q ** shift
+            elif shift < 0:
+                den *= q ** -shift
+            return Fraction(num, den)
         den = self.den.evaluate(point, field)
         if field.is_zero(den):
             raise PoleError("pole at specialization point")

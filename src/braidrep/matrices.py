@@ -261,12 +261,18 @@ class Matrix:
         """Whether the square matrix has an inverse.
 
         Over QQ the fraction-free elimination of ``rref`` decides it from its
-        pivots, with no ``Fraction``; the other fields run ``inverse``.
+        pivots, with no ``Fraction``.  Over CC the pivots of ``rref`` decide
+        it: on the left block, ``inverse``'s elimination of [M | I] picks the
+        same pivots by the same float operations, so the verdict is the one
+        ``inverse`` gives, with no identity block to carry along.  QQ(z) and
+        QQ(omega) run ``inverse``.
         """
         if self.rows != self.cols:
             raise ValueError("inverse requires a square matrix")
         if self.field is QQ:
             return _rational_eliminate(self)[1] == tuple(range(self.rows))
+        if self.field is CC:
+            return self.rref()[1] == tuple(range(self.rows))
         try:
             self.inverse()
         except SingularMatrixError:

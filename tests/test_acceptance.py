@@ -45,3 +45,23 @@ def test_full_suite_exit_code_zero():
     result = suite.run_suite()
     print(result.render_text())
     assert result.exit_code == 0
+
+
+def test_ac11_inverts_only_its_two_symbolic_builds(monkeypatch):
+    # A deterministic count, so a regression fails on a noisy host too: the
+    # 200 specializations are checked by rref pivots (CC) or fraction-free
+    # elimination (QQ), and only the four QQ(z) images of burau(z) and mu(z)
+    # are inverted.  Checking each float image with inverse() makes 204.
+    from braidrep.fields import QZ
+    from braidrep.matrices import Matrix
+
+    inverted = []
+    inverse = Matrix.inverse
+
+    def counting(self):
+        inverted.append(self.field)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counting)
+    assert suite.check_ac11(seed=12345).status == "pass"
+    assert inverted == [QZ] * 4

@@ -521,6 +521,22 @@ def test_specialize_pole_is_exit_3(capsys):
     assert "pole" in err
 
 
+# the provenance of a specialized combinator names its children at the point too
+@pytest.mark.parametrize("spec", [
+    "tensor(burau(z),burau(z))",
+    "direct_sum(thm1_i(z; f=z+1),burau(z))",
+    "dual(mu(z))",
+    "tensor(dual(burau(z)),xi(z^2))",
+])
+@pytest.mark.parametrize("point", ["5/7", "-3", "omega", "2+omega"])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_specialize_prints_what_show_prints_at_the_point(capsys, spec, point, fmt):
+    specialized = run(capsys, "specialize", spec, point, "--format", fmt)
+    shown = run(capsys, "show", spec.replace("z", f"({point})"), "--format", fmt)
+    assert specialized[0] == 0
+    assert specialized == shown
+
+
 # -- isomorphic ---------------------------------------------------------------------
 
 def test_isomorphic_pascal(capsys):

@@ -3,11 +3,12 @@
 Each case runs ``cli.main`` in-process and hashes its stdout, stderr and
 exit code together.  The corpus covers every subcommand in every format
 over QQ, QQ(z), QQ(omega) and the floating field, specialization at
-rational, omega and float points and at poles, excluded parameters, the
-random-probe branch of ``is_isomorphic``, one suite run, QQ(z) values at
-and over the size limit, results over the interpreter's integer digit
-limit, and ``--raw`` files with malformed metas.  A change that
-keeps every output must leave every digest as it is.
+rational, omega and float points, at poles and on both sides of the
+floating tolerance, excluded parameters, the random-probe branch of
+``is_isomorphic``, one suite run, QQ(z) values at and over the size
+limit, results over the interpreter's integer digit limit, and ``--raw``
+files with malformed metas.  A change that keeps every output must leave
+every digest as it is.
 """
 
 import hashlib
@@ -69,6 +70,10 @@ CASES = {
     "specialize-pole": ["specialize", "mu(z)", "-1"],
     "specialize-float-pole": ["specialize", "mu(z)", "-1.0"],
     "specialize-float-tiny": ["specialize", "burau(z)", "1e-12"],
+    # the tolerance boundary: mu's entry q^2 is about 9.99e-10 at 3.16e-5 and
+    # counts as zero (exit 3, not invertible), 1.0049e-9 at 3.17e-5 and does not
+    "specialize-float-below-eps": ["specialize", "mu(z)", "3.16e-5"],
+    "specialize-float-above-eps": ["specialize", "mu(z)", "3.17e-5"],
     "specialize-exact-input": ["specialize", "burau(2)", "3"],
     "specialize-square-omega-json": ["specialize", "tensor(burau(z),burau(z))", "2+omega",
                                      "--format", "json"],
@@ -266,6 +271,10 @@ DIGESTS = {
         "9eaa1ae81ad6a1159a93d517c0b04d0839b83a65fa173de914948d14a574d46c",
     "specialize-float-latex":
         "4695b228cff49909b387aa74c7a1dd473e782ea5be37f1ff827f1021df1c1519",
+    "specialize-float-above-eps":
+        "c793a1b9ee2f229eb6b1300433f7c3bb25af701d547b0b02c2244b96a368a141",
+    "specialize-float-below-eps":
+        "f45091137d4df4038c4a972fa70aea30008b578e9e596f286e0067cc4c75c12a",
     "specialize-float-pole":
         "6a9a618bd700104349820ea48c2af482768d3a24e2b91c2fe65f15f28e1f029b",
     "specialize-float-tiny":
@@ -277,7 +286,7 @@ DIGESTS = {
     "specialize-rational":
         "278e6c999a6072f9e2ec87041b84cf6ef8299e9e709a123cbb4c6966b6cc9d1d",
     "specialize-square-omega-json":
-        "79cbfc719943a0c0ac374784032d25990a2c95c58b1cc7832d57fd29d0651576",
+        "0e09b1ea262ac021634815361a85df54552789c683acec632d651149da189797",
     "suite-json-seed-3":
         "aa6f725e16051c954f8d6613423bb83773cc5192bc8c478d6650227ad2632447",
     "verify-burau":

@@ -1,6 +1,7 @@
 """Tests for the representation constructors and combinators."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -240,6 +241,29 @@ def test_specialize_burau_at_one_squares_to_identity():
 def test_specialize_pole_names_the_entry():
     with pytest.raises(PoleError, match=r"pole at specialization point in generator"):
         specialize(burau3_diag(Z), Fraction(-1))
+
+
+def _with_poles(n, cells):
+    """The n x n identity with 1/(z-3) written into the given (row, col) cells."""
+    ent = [[ONE if i == j else ZERO for j in range(n)] for i in range(n)]
+    for i, j in cells:
+        ent[i][j] = ent[i][j] + ONE / (Z - 3)
+    return Matrix.from_rows(ent, QZ)
+
+
+@pytest.mark.parametrize("poles, named", [
+    (([(1, 0), (1, 1)], []), "generator 1 entry (2,1)"),
+    (([], [(1, 0), (0, 1)]), "generator 2 entry (1,2)"),
+    (([], [(2, 0), (1, 2)]), "generator 2 entry (2,3)"),
+    (([(2, 2)], [(0, 0)]), "generator 1 entry (3,3)"),
+])
+def test_specialize_names_the_first_pole_entry_in_row_major_order(poles, named):
+    n = max(2, 1 + max(max(i, j) for cells in poles for i, j in cells))
+    rep = raw_rep([_with_poles(n, cells) for cells in poles])
+    message = "^" + re.escape(f"pole at specialization point in {named}") + "$"
+    for point in (Fraction(3), 3, 3.0):
+        with pytest.raises(PoleError, match=message):
+            specialize(rep, point)
 
 
 def test_specialize_at_omega():

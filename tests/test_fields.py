@@ -225,6 +225,56 @@ def test_evaluate_pole():
         r.evaluate(Fraction(-1))
 
 
+def _value_by_fractions(poly, q):
+    return sum((c * q ** k for k, c in enumerate(poly.coeffs)), Fraction(0))
+
+
+def _exact_cases(rng):
+    """Seeded (function, point) pairs: random functions at Fraction and int
+    points, plus a zero numerator and constant and non-integral
+    denominators."""
+    z = Poly.gen()
+    fixed = [RatFunc(0), RatFunc(Poly([3, -2, 5])), RatFunc(z + 1, Fraction(3, 7)),
+             RatFunc(Poly([1, 0, 4]), Poly([Fraction(-2, 3), 1])),
+             RatFunc(Poly([Fraction(5, 2), 1]), Poly([Fraction(1, 6), Fraction(-5, 9), 1]))]
+    for r in fixed:
+        for q in (0, 1, -2, Fraction(7, 3), Fraction(-11, 12)):
+            yield r, q
+    for _ in range(300):
+        r = rand_ratfunc(rng, max_degree=5)
+        yield r, rand_fraction(rng, -30, 30)
+        yield r, rng.randint(-20, 20)
+
+
+def test_evaluate_at_rationals_is_fraction_arithmetic():
+    rng = random.Random(16)
+    poles = 0
+    for r, q in _exact_cases(rng):
+        den = _value_by_fractions(r.den, q)
+        if den == 0:
+            poles += 1
+            with pytest.raises(PoleError, match="pole"):
+                r.evaluate(q)
+            continue
+        value = r.evaluate(q)
+        assert type(value) is Fraction
+        assert value == _value_by_fractions(r.num, q) / den
+    assert poles > 0
+
+
+@pytest.mark.parametrize("den, root", [
+    (Poly([Fraction(-2, 3), 1]), Fraction(2, 3)),
+    (Poly([-2, 3]), Fraction(2, 3)),
+    (Poly([10, 7, 1]), -5),
+    (Poly([10, 7, 1]), Fraction(-2)),
+    (Poly([0, 0, 1]), 0),
+])
+def test_evaluate_at_a_root_of_the_denominator_is_a_pole(den, root):
+    r = RatFunc(Poly([1, 1, 1]), den)
+    with pytest.raises(PoleError, match="pole at specialization point"):
+        r.evaluate(root)
+
+
 def test_evaluate_float_tag():
     v = hump().evaluate(complex(1.0))
     assert abs(v - 0.75) < 1e-12

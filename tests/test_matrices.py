@@ -108,6 +108,72 @@ def test_singular_matrix_rejected():
         m.inverse()
 
 
+def _verdict(m, decide):
+    try:
+        return decide(m)
+    except OverflowError as exc:
+        return type(exc)
+
+
+def _by_inverse(m):
+    try:
+        m.inverse()
+    except SingularMatrixError:
+        return False
+    return True
+
+
+def _float_cases(rng):
+    """Seeded n x n matrices over CC, n = 1..4: random, rank-deficient, with a
+    pivot just inside or just outside the 1e-9 tolerance, and near 1e150."""
+    def gauss():
+        return complex(rng.gauss(0, 1), rng.gauss(0, 1) * rng.choice((0, 1)))
+
+    def randm(n, scale=1.0):
+        return Matrix(n, n, [scale * gauss() for _ in range(n * n)], CC)
+
+    for n in range(1, 5):
+        for _ in range(30):
+            yield randm(n)
+            yield randm(n, 1e150)
+            # rank n - 1: the last row is a combination of the others
+            m = randm(n)
+            rows = m.to_rows()
+            coef = [gauss() for _ in range(n - 1)]
+            rows[-1] = [sum((c * r[j] for c, r in zip(coef, rows)), 0j) for j in range(n)]
+            yield Matrix.from_rows(rows, CC)
+            yield Matrix.from_rows(rows, CC).scale(1e150)
+        for t in (0.999e-9, 1.0e-9, 1.001e-9, 0.5e-9, 2e-9):
+            for _ in range(10):
+                diag = Matrix.diagonal([1.0] * (n - 1) + [t], CC)
+                yield diag
+                # the small pivot behind unit triangular changes of basis
+                lower = Matrix(n, n, [1.0 if i == j else (rng.randint(-3, 3) if i > j else 0)
+                                      for i in range(n) for j in range(n)], CC)
+                upper = lower.transpose()
+                yield lower * diag * upper
+                yield (lower * diag * upper).scale(1e150)
+
+
+def test_float_is_invertible_agrees_with_inverse():
+    rng = random.Random(1616)
+    verdicts = set()
+    for m in _float_cases(rng):
+        verdict = _verdict(m, Matrix.is_invertible)
+        assert verdict == _verdict(m, _by_inverse), m.to_rows()
+        verdicts.add(verdict)
+    assert verdicts >= {True, False}
+
+
+@pytest.mark.parametrize("t, invertible", [(0.999e-9, False), (1.0e-9, False),
+                                           (1.001e-9, True), (1.1e-9, True)])
+def test_float_pivot_at_the_tolerance(t, invertible):
+    for n in range(1, 5):
+        m = Matrix.diagonal([1.0] * (n - 1) + [t], CC)
+        assert m.is_invertible() is invertible
+        assert _by_inverse(m) is invertible
+
+
 # -- kernel ------------------------------------------------------------------
 
 def test_kernel_of_dense_generator_minus_identity():

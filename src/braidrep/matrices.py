@@ -263,9 +263,12 @@ class Matrix:
         Over QQ the fraction-free elimination of ``rref`` decides it from its
         pivots, with no ``Fraction``.  Over CC the pivots of ``rref`` decide
         it: on the left block, ``inverse``'s elimination of [M | I] picks the
-        same pivots by the same float operations, so the verdict is the one
-        ``inverse`` gives, with no identity block to carry along.  QQ(z) and
-        QQ(omega) run ``inverse``.
+        same pivots by the same float operations, so wherever ``inverse``
+        returns or raises ``SingularMatrixError`` the verdict is the same.
+        With no identity block to carry along, a singular matrix whose
+        identity block would overflow is reported singular, where
+        ``inverse`` raises ``OverflowError``.  QQ(z) and QQ(omega) run
+        ``inverse``.
         """
         if self.rows != self.cols:
             raise ValueError("inverse requires a square matrix")

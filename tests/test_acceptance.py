@@ -50,8 +50,9 @@ def test_full_suite_exit_code_zero():
 def test_ac11_inverts_only_its_two_symbolic_builds(monkeypatch):
     # A deterministic count, so a regression fails on a noisy host too: the
     # 200 specializations are checked by rref pivots (CC) or fraction-free
-    # elimination (QQ), and only the four QQ(z) images of burau(z) and mu(z)
-    # are inverted.  Checking each float image with inverse() makes 204.
+    # elimination (QQ), so no specialized image is inverted; at most the four
+    # QQ(z) images of burau(z) and mu(z) are.  Checking each float image with
+    # inverse() makes 204.
     from braidrep.fields import QZ
     from braidrep.matrices import Matrix
 
@@ -64,4 +65,5 @@ def test_ac11_inverts_only_its_two_symbolic_builds(monkeypatch):
 
     monkeypatch.setattr(Matrix, "inverse", counting)
     assert suite.check_ac11(seed=12345).status == "pass"
-    assert inverted == [QZ] * 4
+    assert [f for f in inverted if f is not QZ] == []
+    assert len(inverted) <= 4

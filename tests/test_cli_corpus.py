@@ -7,8 +7,8 @@ rational, omega and float points, at poles and on both sides of the
 floating tolerance, excluded parameters, the random-probe branch of
 ``is_isomorphic``, one suite run, QQ(z) values at and over the size
 limit, results over the interpreter's integer digit limit, and ``--raw``
-files with malformed metas.  A change that keeps every output must leave
-every digest as it is.
+files with malformed metas or a singular float matrix.  A change that keeps
+every output must leave every digest as it is.
 """
 
 import hashlib
@@ -93,6 +93,9 @@ CASES = {
     "raw-show-float": ["show", "--raw", "float-burau.json"],
     "raw-verify-float-json": ["verify", "--raw", "float-burau.json", "--format", "json"],
     "raw-decompose-float": ["decompose", "--raw", "float-burau.json"],
+    # singular, though eliminating [M | I] overflows in the identity block:
+    # exit 3 "not invertible", read from the pivots of M alone
+    "raw-show-float-singular-overflow": ["show", "--raw", "float-singular-overflow.json"],
     "raw-verify-perturbed": ["verify", "--raw", "perturbed-burau.json"],
     "parse-product-over-cap": ["verify", "xi((z+1)^1024*(z+1)^1024)"],
     "show-power-at-cap": ["show", "xi((z+1)^1024)"],
@@ -125,11 +128,14 @@ def _burau_5_7(meta):
 
 
 # --raw files, written to a temporary directory under these names: burau(-0.5)
-# over the floating field, burau(5/7) with one entry of sigma_2 moved, the
-# JSON of tensor(burau(2),burau(2)), and burau(5/7) under malformed metas
+# over the floating field, a singular float matrix whose [M | I] overflows,
+# burau(5/7) with one entry of sigma_2 moved, the JSON of
+# tensor(burau(2),burau(2)), and burau(5/7) under malformed metas
 RAW_FILES = {
     "float-burau.json": {"braid_index": 3, "images": [
         _float_matrix([[0.5, 0.0], [1.0, 1.0]]), _float_matrix([[1.0, -0.5], [0.0, 0.5]])]},
+    "float-singular-overflow.json": {"braid_index": 2, "images": [
+        _float_matrix([[1.0, 1e301, 0.0], [0.0, 2e-8, 0.0], [0.0, 2e-8, 0.0]])]},
     "perturbed-burau.json": {"braid_index": 3, "images": [
         {"rows": 2, "cols": 2, "entries": [["-5/7", "0"], ["1", "1"]]},
         {"rows": 2, "cols": 2, "entries": [["2", "5/7"], ["0", "-5/7"]]}]},
@@ -213,6 +219,8 @@ DIGESTS = {
         "4fa734de57deefcf59fcb0c449ce3ff5d9fc562d40c248f4aff52d4aa7917e5a",
     "raw-show-float":
         "e5d255ddd0bcd2045f02559789bfd31715623af6f37ac7d104c90039df9b258b",
+    "raw-show-float-singular-overflow":
+        "f45091137d4df4038c4a972fa70aea30008b578e9e596f286e0067cc4c75c12a",
     "raw-show-tensor-round-trip":
         "19f9bf6729159c992bb691853ab0c5b41c91ce75821a2ed8f751cb8c666e2082",
     "raw-verify-float-json":

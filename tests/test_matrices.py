@@ -165,6 +165,17 @@ def test_float_is_invertible_agrees_with_inverse():
     assert verdicts >= {True, False}
 
 
+def test_float_singular_matrix_whose_inverse_overflows():
+    # The elimination of [M | I] scales the second pivot row by 1/2e-8 and
+    # clears the first row with it, which writes -1e301 * 5e7 = -inf into the
+    # identity block, and a later zero test there raises OverflowError.  M's
+    # own elimination has no identity block: its pivots say singular (the
+    # last two rows are equal).
+    m = Matrix.from_rows([[1.0, 1e301, 0.0], [0.0, 2e-8, 0.0], [0.0, 2e-8, 0.0]], CC)
+    assert m.is_invertible() is False
+    assert _verdict(m, _by_inverse) is OverflowError
+
+
 @pytest.mark.parametrize("t, invertible", [(0.999e-9, False), (1.0e-9, False),
                                            (1.001e-9, True), (1.1e-9, True)])
 def test_float_pivot_at_the_tolerance(t, invertible):

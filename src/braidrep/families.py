@@ -9,13 +9,17 @@ their defining formulas.  The braid relations hold identically in the
 parameters, so they are certified once, symbolically, by the test suite
 and by suite check AC01, not on every construction; any representation,
 raw input included, is checked on demand by ``verify_braid_relations``.
+
+The six constructors with a QQ(z) parameter share one memo of 64 builds, so
+a family is built once per QQ(z) argument and every caller gets the same
+object, whose ``meta.params`` is read-only.  Points are built on every call.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import reduce
+from functools import lru_cache, reduce, wraps
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -147,6 +151,24 @@ def raw(images: Sequence[Matrix], meta: Optional[RepMeta] = None) -> Representat
 # Named families
 
 
+@lru_cache(maxsize=64)  # twice the 31 distinct QQ(z) builds of one suite run
+def _build_once(build, args: tuple) -> Representation:
+    return build(*args)
+
+
+def _memoized(build):
+    """Serve ``build`` from the shared memo when every argument is a QQ(z)
+    value; those are canonical, so an equal argument gives the same build.
+    Points are cheap to build and bypass it, and a float key would merge
+    -0.0 with 0.0.  A call that raises is not stored and raises again."""
+    @wraps(build)
+    def family(*args):
+        if all(type(a) is RatFunc for a in args):
+            return _build_once(build, args)
+        return build(*args)
+    return family
+
+
 def _guard_excluded(z, excluded: Sequence[int], family: str):
     f = field_of(z)
     for bad in excluded:
@@ -167,9 +189,10 @@ def xi(z, braid_index: int = 3) -> Representation:
     image = Matrix.from_rows([[z]], f)
     images = [image] * (braid_index - 1)
     params = {"z": z} if braid_index == 3 else {"z": z, "n": braid_index}
-    return make_representation(braid_index, images, RepMeta("xi", params))
+    return make_representation(braid_index, images, RepMeta("xi", MappingProxyType(params)))
 
 
+@_memoized
 def theorem1_i(z, f) -> Representation:
     """Two-dimensional family with diagonal first generator.
 
@@ -186,9 +209,10 @@ def theorem1_i(z, f) -> Representation:
     s1 = Matrix.from_rows([[-z, fld.zero], [fld.zero, one]], fld)
     s2 = Matrix.from_rows([[one / (z + one), f],
                            [g, -(z * z) / (z + one)]], fld)
-    return make_representation(3, (s1, s2), RepMeta("thm1_i", {"z": z, "f": f}))
+    return make_representation(3, (s1, s2), RepMeta("thm1_i", MappingProxyType({"z": z, "f": f})))
 
 
+@_memoized
 def theorem1_ii(z, e) -> Representation:
     """Two-dimensional family with unipotent first generator.
 
@@ -202,9 +226,10 @@ def theorem1_ii(z, e) -> Representation:
     s1 = Matrix.from_rows([[one, z], [fld.zero, one]], fld)
     s2 = Matrix.from_rows([[e, z * (e - one) ** 2],
                            [-(one / z), two - e]], fld)
-    return make_representation(3, (s1, s2), RepMeta("thm1_ii", {"z": z, "e": e}))
+    return make_representation(3, (s1, s2), RepMeta("thm1_ii", MappingProxyType({"z": z, "e": e})))
 
 
+@_memoized
 def burau3(z) -> Representation:
     """The reduced Burau representation of B3."""
     fld = field_of(z)
@@ -212,7 +237,7 @@ def burau3(z) -> Representation:
     one, zero = fld.one, fld.zero
     s1 = Matrix.from_rows([[-z, zero], [one, one]], fld)
     s2 = Matrix.from_rows([[one, z], [zero, -z]], fld)
-    return make_representation(3, (s1, s2), RepMeta("burau", {"z": z}))
+    return make_representation(3, (s1, s2), RepMeta("burau", MappingProxyType({"z": z})))
 
 
 def burau_change_of_basis(z) -> Matrix:
@@ -225,6 +250,7 @@ def burau_change_of_basis(z) -> Matrix:
     return Matrix.from_rows([[-(z + one), zero], [one, one]], fld)
 
 
+@_memoized
 def burau3_diag(z) -> Representation:
     """Burau with the first generator diagonalized.
 
@@ -238,9 +264,10 @@ def burau3_diag(z) -> Representation:
     s1 = Matrix.from_rows([[-z, zero], [zero, one]], fld)
     s2 = Matrix.from_rows([[one / (z + one), -z / (z + one)],
                            [-w / (z + one), -(z * z) / (z + one)]], fld)
-    return make_representation(3, (s1, s2), RepMeta("burau_diag", {"z": z}))
+    return make_representation(3, (s1, s2), RepMeta("burau_diag", MappingProxyType({"z": z})))
 
 
+@_memoized
 def mu(z) -> Representation:
     """The three-dimensional complement of the scalar line in Burau squared.
 
@@ -258,9 +285,10 @@ def mu(z) -> Representation:
         [2 * z ** 3 / d, z * (z * z + one) / d, -(2 * w) / d],
         [(z * z) / d, -z / d, one / d],
     ], fld)
-    return make_representation(3, (s1, s2), RepMeta("mu", {"z": z}))
+    return make_representation(3, (s1, s2), RepMeta("mu", MappingProxyType({"z": z})))
 
 
+@_memoized
 def mu_pascal(z) -> Representation:
     """The same three-dimensional representation in the symmetric-power basis.
 
@@ -280,7 +308,7 @@ def mu_pascal(z) -> Representation:
         [zero, -z, -(z * z)],
         [zero, zero, z * z],
     ], fld)
-    return make_representation(3, (s1, s2), RepMeta("mu_pascal", {"z": z}))
+    return make_representation(3, (s1, s2), RepMeta("mu_pascal", MappingProxyType({"z": z})))
 
 
 def standard_s3() -> Representation:

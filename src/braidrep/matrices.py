@@ -260,6 +260,8 @@ class Matrix:
     def is_invertible(self) -> bool:
         """Whether the square matrix has an inverse.
 
+        A 1x1 matrix is invertible exactly when its entry is nonzero, the
+        verdict of every path below, read from the entry with no elimination.
         Over QQ the fraction-free elimination of ``rref`` decides it from its
         pivots, with no ``Fraction``.  Over CC the pivots of ``rref`` decide
         it: on the left block, ``inverse``'s elimination of [M | I] picks the
@@ -272,6 +274,8 @@ class Matrix:
         """
         if self.rows != self.cols:
             raise ValueError("inverse requires a square matrix")
+        if self.rows == 1:
+            return not self.field.is_zero(self.entries[0])
         if self.field is QQ:
             return _rational_eliminate(self)[1] == tuple(range(self.rows))
         if self.field is CC:

@@ -67,3 +67,23 @@ def test_ac11_inverts_only_its_two_symbolic_builds(monkeypatch):
     assert suite.check_ac11(seed=12345).status == "pass"
     assert [f for f in inverted if f is not QZ] == []
     assert len(inverted) <= 4
+
+
+def test_suite_builds_each_symbolic_family_once(monkeypatch):
+    # A deterministic count, so a regression fails on a noisy host too.  The
+    # memo starts empty (tests/conftest.py), and each of the 31 distinct
+    # named QQ(z) builds of a run is made, and its images inverted, once:
+    # 116 QQ(z) inverses, where building on every call made 186.
+    from braidrep.fields import QZ
+    from braidrep.matrices import Matrix
+
+    inverted = []
+    inverse = Matrix.inverse
+
+    def counting(self):
+        inverted.append(self.field)
+        return inverse(self)
+
+    monkeypatch.setattr(Matrix, "inverse", counting)
+    assert suite.run_suite(seed=12345).exit_code == 0
+    assert sum(f is QZ for f in inverted) == 116

@@ -1,5 +1,6 @@
 """Tests for the representation constructors and combinators."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -11,6 +12,7 @@ from braidrep import (Matrix, ParameterError, PoleError, QQ, QW, QZ,
                       burau_change_of_basis, conjugate, direct_sum, dual, mu,
                       mu_pascal, specialize, standard_s3, tensor,
                       tensor_onedim, theorem1_i, theorem1_ii, xi)
+from braidrep import families
 from braidrep import raw as raw_rep
 from braidrep.analysis import verify_braid_relations
 
@@ -327,3 +329,71 @@ def test_image_of_word():
     assert rep.image_of_word((1, 2)) == expected
     with pytest.raises(ValueError):
         rep.image_of_word((3,))
+
+
+# -- the memo of named builds over QQ(z) ---------------------------------------------
+
+MEMOIZED = {
+    "burau": (burau3, lambda z: (z,)),
+    "burau_diag": (burau3_diag, lambda z: (z,)),
+    "mu": (mu, lambda z: (z,)),
+    "mu_pascal": (mu_pascal, lambda z: (z,)),
+    "thm1_i": (theorem1_i, lambda z: (z, z * z)),
+    "thm1_ii": (theorem1_ii, lambda z: (z, z + z)),
+}
+
+
+@pytest.mark.parametrize("name", MEMOIZED)
+def test_equal_symbolic_arguments_return_the_same_build(name):
+    build, args = MEMOIZED[name]
+    first = build(*args(Z))
+    again = build(*args(RatFunc(Z.num, Z.den)))  # equal arguments, new objects
+    assert again is first
+    assert build(*args(Z + ONE)) is not first
+
+
+@pytest.mark.parametrize("name", MEMOIZED)
+@pytest.mark.parametrize("point", [Fraction(2), QW.omega, 2, 2.5],
+                         ids=["Fraction", "Omega", "int", "float"])
+def test_points_are_never_memoized(name, point):
+    build, args = MEMOIZED[name]
+    assert build(*args(point)) is not build(*args(point))
+    assert families._build_once.cache_info().currsize == 0
+
+
+@pytest.mark.parametrize("build", [theorem1_i, theorem1_ii])
+@pytest.mark.parametrize("second", [Fraction(2), 2], ids=["Fraction", "int"])
+def test_a_symbolic_parameter_beside_a_number_is_not_memoized(build, second):
+    assert build(Z, second) is not build(Z, second)
+    assert families._build_once.cache_info().currsize == 0
+
+
+def test_float_arguments_keep_their_signed_zero():
+    theorem1_ii(1.0, 0.0)
+    e = theorem1_ii(1.0, -0.0).meta.params["e"]
+    assert math.copysign(1.0, e.real) == -1.0
+
+
+def test_excluded_symbolic_parameter_raises_on_every_call():
+    for _ in range(3):
+        with pytest.raises(ParameterError, match="requires z != -1"):
+            mu(QZ.lift(-1))
+    assert families._build_once.cache_info().currsize == 0
+
+
+def test_memo_never_holds_more_than_its_bound():
+    bound = families._build_once.cache_info().maxsize
+    assert bound == 64
+    for k in range(bound + 16):
+        burau3(Z + QZ.lift(k))
+        assert families._build_once.cache_info().currsize <= bound
+    assert families._build_once.cache_info().currsize == bound
+
+
+@pytest.mark.parametrize("name", MEMOIZED)
+def test_named_params_are_read_only(name):
+    build, args = MEMOIZED[name]
+    rep = build(*args(Z))
+    with pytest.raises(TypeError):
+        rep.meta.params["z"] = ONE
+    assert build(*args(Z)).meta.params["z"] == Z

@@ -2,13 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from braidrep import (CC, Matrix, QQ, QZ, RatFunc, SingularMatrixError,
-                      char_poly, conjugate, vstack)
+from braidrep import (CC, Matrix, Poly, QQ, QW, QZ, RatFunc, SingularMatrixError,
+                      char_poly, conjugate, vstack, xi)
+from braidrep.fields import _reduced
 
-from _gen import rand_fraction, rand_invertible, rand_matrix
+from _gen import rand_fraction, rand_invertible, rand_matrix, rand_omega, rand_ratfunc
 
 
 Z = RatFunc.gen()
@@ -183,6 +185,47 @@ def test_float_pivot_at_the_tolerance(t, invertible):
         m = Matrix.diagonal([1.0] * (n - 1) + [t], CC)
         assert m.is_invertible() is invertible
         assert _by_inverse(m) is invertible
+
+
+def test_one_by_one_is_invertible_agrees_with_inverse():
+    rng = random.Random(1717)
+    cases = {
+        QQ: [Fraction(0), Fraction(-3, 7), Fraction(10 ** 40, 3)]
+        + [rand_fraction(rng) for _ in range(20)],
+        QZ: [ZERO, ONE, Z, (Z + ONE) ** 3 / (Z - 2)]
+        + [rand_ratfunc(rng, 3) for _ in range(20)],
+        QW: [QW.zero, QW.one, QW.omega, QW.one + QW.omega]
+        + [rand_omega(rng) for _ in range(20)],
+        CC: [0j, 1.0, -2.5j, 1e300, 1e-300, 0.999e-9, 1.0e-9, 1.001e-9, -1.001e-9j,
+             complex(0.8e-9, 0.6e-9), complex(0.8e-9, 0.7e-9)]
+        + [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(20)],
+    }
+    for field, values in cases.items():
+        verdicts = set()
+        for v in values:
+            m = Matrix(1, 1, [v], field)
+            verdict = m.is_invertible()
+            assert verdict is _by_inverse(m), (field, v)
+            verdicts.add(verdict)
+        assert verdicts == {True, False}, field
+
+
+def test_one_by_one_high_degree_image_is_certified_without_inverse(monkeypatch):
+    # (3/7*z + 1)^1024 / (z - 5/9)^1024, written from its binomial
+    # coefficients as coprime parts: the power and the parse take seconds,
+    # and inverting the 1x1 image (elimination of [M | I] at degree 1024 with
+    # coefficients of about 3,900 bits) took about 110 s.
+    n = 1024
+    num = Poly([comb(n, k) * Fraction(3, 7) ** k for k in range(n + 1)])
+    den = Poly([comb(n, k) * Fraction(-5, 9) ** (n - k) for k in range(n + 1)])
+    entry = _reduced(num, den)
+
+    def refuse(self):
+        raise AssertionError("Matrix.inverse called")
+
+    monkeypatch.setattr(Matrix, "inverse", refuse)
+    assert Matrix(1, 1, [entry], QZ).is_invertible()
+    assert xi(entry).images[0][0, 0] is entry
 
 
 # -- kernel ------------------------------------------------------------------

@@ -10,16 +10,19 @@ parameters, so they are certified once, symbolically, by the test suite
 and by suite check AC01, not on every construction; any representation,
 raw input included, is checked on demand by ``verify_braid_relations``.
 
-The six constructors with a QQ(z) parameter share one memo of 64 builds, so
-a family is built once per QQ(z) argument and every caller gets the same
-object, whose ``meta.params`` is read-only.  Points are built on every call.
+Inside a ``build_once()`` block, which ``suite.run_suite`` opens for one
+run, the six constructors with a QQ(z) parameter build a family once per
+QQ(z) argument, and every caller in the block gets the same object, whose
+``meta.params`` is read-only.  Points, and every call outside such a block,
+are built afresh.
 """
 
 from __future__ import annotations
 
 import operator
+from contextlib import contextmanager
 from fractions import Fraction
-from functools import lru_cache, reduce, wraps
+from functools import reduce, wraps
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
@@ -151,21 +154,39 @@ def raw(images: Sequence[Matrix], meta: Optional[RepMeta] = None) -> Representat
 # Named families
 
 
-@lru_cache(maxsize=64)  # twice the 31 distinct QQ(z) builds of one suite run
-def _build_once(build, args: tuple) -> Representation:
-    return build(*args)
+_builds = None  # (constructor, args) -> Representation while build_once() is open
+
+
+@contextmanager
+def build_once():
+    """Within the block, a named family called again with equal QQ(z)
+    arguments returns the first call's build.  A nested block shares the
+    outer one's builds, and they are dropped when the outer block ends."""
+    global _builds
+    if _builds is not None:
+        yield
+        return
+    _builds = {}
+    try:
+        yield
+    finally:
+        _builds = None
 
 
 def _memoized(build):
-    """Serve ``build`` from the shared memo when every argument is a QQ(z)
-    value; those are canonical, so an equal argument gives the same build.
-    Points are cheap to build and bypass it, and a float key would merge
-    -0.0 with 0.0.  A call that raises is not stored and raises again."""
+    """Serve ``build`` from the open ``build_once()`` block when every
+    argument is a QQ(z) value; those are canonical, so an equal argument gives
+    the same build.  Points are cheap to build and bypass it, and a float key
+    would merge -0.0 with 0.0.  A call that raises is not stored."""
     @wraps(build)
     def family(*args):
-        if all(type(a) is RatFunc for a in args):
-            return _build_once(build, args)
-        return build(*args)
+        if _builds is None or not all(type(a) is RatFunc for a in args):
+            return build(*args)
+        key = (build, args)
+        rep = _builds.get(key)
+        if rep is None:
+            rep = _builds[key] = build(*args)
+        return rep
     return family
 
 

@@ -471,4 +471,5 @@ ALL_CHECKS = [
 
 
 def run_suite(seed: int = DEFAULT_SEED) -> SuiteResult:
-    return SuiteResult(seed, [fn(seed=seed) for fn in ALL_CHECKS])
+    with fam.build_once():  # the checks share their named QQ(z) builds
+        return SuiteResult(seed, [fn(seed=seed) for fn in ALL_CHECKS])

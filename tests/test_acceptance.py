@@ -70,10 +70,11 @@ def test_ac11_inverts_only_its_two_symbolic_builds(monkeypatch):
 
 
 def test_suite_builds_each_symbolic_family_once(monkeypatch):
-    # A deterministic count, so a regression fails on a noisy host too.  The
-    # memo starts empty (tests/conftest.py), and each of the 31 distinct
-    # named QQ(z) builds of a run is made, and its images inverted, once:
-    # 116 QQ(z) inverses, where building on every call made 186.
+    # A deterministic count, so a regression fails on a noisy host too.  Each
+    # of the 31 distinct named QQ(z) builds of a run is made, and its images
+    # inverted, once: 116 QQ(z) inverses, where building on every call made
+    # 186.  The builds last one run: a second run makes them again.
+    from braidrep import families
     from braidrep.fields import QZ
     from braidrep.matrices import Matrix
 
@@ -85,5 +86,8 @@ def test_suite_builds_each_symbolic_family_once(monkeypatch):
         return inverse(self)
 
     monkeypatch.setattr(Matrix, "inverse", counting)
-    assert suite.run_suite(seed=12345).exit_code == 0
-    assert sum(f is QZ for f in inverted) == 116
+    for _ in range(2):
+        inverted.clear()
+        assert suite.run_suite(seed=12345).exit_code == 0
+        assert sum(f is QZ for f in inverted) == 116
+        assert families._builds is None

@@ -331,7 +331,7 @@ def test_image_of_word():
         rep.image_of_word((3,))
 
 
-# -- the memo of named builds over QQ(z) ---------------------------------------------
+# -- named builds shared over QQ(z) inside build_once() ---------------------------
 
 MEMOIZED = {
     "burau": (burau3, lambda z: (z,)),
@@ -346,10 +346,19 @@ MEMOIZED = {
 @pytest.mark.parametrize("name", MEMOIZED)
 def test_equal_symbolic_arguments_return_the_same_build(name):
     build, args = MEMOIZED[name]
-    first = build(*args(Z))
-    again = build(*args(RatFunc(Z.num, Z.den)))  # equal arguments, new objects
-    assert again is first
-    assert build(*args(Z + ONE)) is not first
+    with families.build_once():
+        first = build(*args(Z))
+        again = build(*args(RatFunc(Z.num, Z.den)))  # equal arguments, new objects
+        assert again is first
+        assert build(*args(Z + ONE)) is not first
+    assert build(*args(Z)) is not first
+
+
+@pytest.mark.parametrize("name", MEMOIZED)
+def test_symbolic_builds_outside_a_block_are_fresh(name):
+    build, args = MEMOIZED[name]
+    assert build(*args(Z)) is not build(*args(Z))
+    assert families._builds is None
 
 
 @pytest.mark.parametrize("name", MEMOIZED)
@@ -357,43 +366,56 @@ def test_equal_symbolic_arguments_return_the_same_build(name):
                          ids=["Fraction", "Omega", "int", "float"])
 def test_points_are_never_memoized(name, point):
     build, args = MEMOIZED[name]
-    assert build(*args(point)) is not build(*args(point))
-    assert families._build_once.cache_info().currsize == 0
+    with families.build_once():
+        assert build(*args(point)) is not build(*args(point))
+        assert families._builds == {}
 
 
 @pytest.mark.parametrize("build", [theorem1_i, theorem1_ii])
 @pytest.mark.parametrize("second", [Fraction(2), 2], ids=["Fraction", "int"])
 def test_a_symbolic_parameter_beside_a_number_is_not_memoized(build, second):
-    assert build(Z, second) is not build(Z, second)
-    assert families._build_once.cache_info().currsize == 0
+    with families.build_once():
+        assert build(Z, second) is not build(Z, second)
+        assert families._builds == {}
 
 
 def test_float_arguments_keep_their_signed_zero():
-    theorem1_ii(1.0, 0.0)
-    e = theorem1_ii(1.0, -0.0).meta.params["e"]
+    with families.build_once():
+        theorem1_ii(1.0, 0.0)
+        e = theorem1_ii(1.0, -0.0).meta.params["e"]
     assert math.copysign(1.0, e.real) == -1.0
 
 
 def test_excluded_symbolic_parameter_raises_on_every_call():
-    for _ in range(3):
-        with pytest.raises(ParameterError, match="requires z != -1"):
-            mu(QZ.lift(-1))
-    assert families._build_once.cache_info().currsize == 0
+    with families.build_once():
+        for _ in range(3):
+            with pytest.raises(ParameterError, match="requires z != -1"):
+                mu(QZ.lift(-1))
+        assert families._builds == {}
 
 
-def test_memo_never_holds_more_than_its_bound():
-    bound = families._build_once.cache_info().maxsize
-    assert bound == 64
-    for k in range(bound + 16):
-        burau3(Z + QZ.lift(k))
-        assert families._build_once.cache_info().currsize <= bound
-    assert families._build_once.cache_info().currsize == bound
+def test_builds_are_dropped_when_the_outer_block_ends():
+    with families.build_once():
+        first = mu(Z)
+        with families.build_once():  # a nested block shares the outer builds
+            assert mu(Z) is first
+        assert mu(Z) is first
+        assert len(families._builds) == 1
+    assert families._builds is None
+    with pytest.raises(ZeroDivisionError):
+        with families.build_once():
+            mu(Z)
+            raise ZeroDivisionError
+    assert families._builds is None
+    with families.build_once():
+        assert mu(Z) is not first
 
 
 @pytest.mark.parametrize("name", MEMOIZED)
 def test_named_params_are_read_only(name):
     build, args = MEMOIZED[name]
-    rep = build(*args(Z))
-    with pytest.raises(TypeError):
-        rep.meta.params["z"] = ONE
-    assert build(*args(Z)).meta.params["z"] == Z
+    with families.build_once():
+        rep = build(*args(Z))
+        with pytest.raises(TypeError):
+            rep.meta.params["z"] = ONE
+        assert build(*args(Z)).meta.params["z"] == Z

@@ -10,11 +10,12 @@ parameters, so they are certified once, symbolically, by the test suite
 and by suite check AC01, not on every construction; any representation,
 raw input included, is checked on demand by ``verify_braid_relations``.
 
-Inside a ``build_once()`` block, which ``suite.run_suite`` opens for one
-run, the six constructors with a QQ(z) parameter build a family once per
-QQ(z) argument, and every caller in the block gets the same object, whose
-``meta.params`` is read-only.  Points, and every call outside such a block,
-are built afresh.
+Each family's spec name, parameters and excluded z are declared once, by
+``_family``, in the ``FAMILIES`` table the grammar reads.  Inside a
+``build_once()`` block, which ``suite.run_suite`` opens for one run, each
+declared family is built once per QQ(z) argument, and every caller in the
+block gets the same object, whose ``meta.params`` is read-only.  Points,
+and every call outside such a block, are built afresh.
 """
 
 from __future__ import annotations
@@ -154,7 +155,11 @@ def raw(images: Sequence[Matrix], meta: Optional[RepMeta] = None) -> Representat
 # Named families
 
 
-_builds = None  # (constructor, args) -> Representation while build_once() is open
+# spec name -> (constructor, parameter names in call order, integers z may
+# not take), for every _family declaration and for xi
+FAMILIES = {}
+
+_builds = None  # (formula, args) -> Representation while build_once() is open
 
 
 @contextmanager
@@ -173,29 +178,40 @@ def build_once():
         _builds = None
 
 
-def _memoized(build):
-    """Serve ``build`` from the open ``build_once()`` block when every
-    argument is a QQ(z) value; those are canonical, so an equal argument gives
-    the same build.  Points are cheap to build and bypass it, and a float key
-    would merge -0.0 with 0.0.  A call that raises is not stored."""
-    @wraps(build)
-    def family(*args):
-        if _builds is None or not all(type(a) is RatFunc for a in args):
-            return build(*args)
-        key = (build, args)
-        rep = _builds.get(key)
-        if rep is None:
-            rep = _builds[key] = build(*args)
-        return rep
-    return family
+def _family(name: str, params: tuple, excluded: tuple):
+    """Declare ``formula(field, z[, second])``, which returns the two
+    generator images, as the family ``name`` and enter it in FAMILIES.
 
+    The constructor brings a second parameter into z's field, rejects an
+    excluded z and keeps its arguments as read-only ``meta.params``.  In an
+    open ``build_once()`` block, a call whose arguments are all QQ(z) values
+    (canonical, so equal arguments give the same build) is built once.
+    Points are cheap and bypass it, and a float key would merge -0.0 with
+    0.0.  A call that raises is not stored.
+    """
+    def declare(formula):
+        @wraps(formula)
+        def family(*args):
+            key = (formula, args)
+            shared = _builds is not None and all(type(a) is RatFunc for a in args)
+            if shared and key in _builds:
+                return _builds[key]
+            if len(params) == 2:
+                *args, fld = join(*args)
+            else:
+                fld = field_of(args[0])
+            for bad in excluded:
+                if fld.eq(args[0], fld.lift(bad)):
+                    raise ParameterError(f"excluded parameter: {name} requires z != {bad}")
+            rep = make_representation(3, formula(fld, *args),
+                                      RepMeta(name, MappingProxyType(dict(zip(params, args)))))
+            if shared:
+                _builds[key] = rep
+            return rep
 
-def _guard_excluded(z, excluded: Sequence[int], family: str):
-    f = field_of(z)
-    for bad in excluded:
-        if f.eq(z, f.lift(bad)):
-            raise ParameterError(
-                f"excluded parameter: {family} requires z != {bad}")
+        FAMILIES[name] = (family, params, excluded)
+        return family
+    return declare
 
 
 def xi(z, braid_index: int = 3) -> Representation:
@@ -213,16 +229,17 @@ def xi(z, braid_index: int = 3) -> Representation:
     return make_representation(braid_index, images, RepMeta("xi", MappingProxyType(params)))
 
 
-@_memoized
-def theorem1_i(z, f) -> Representation:
+FAMILIES["xi"] = (xi, ("z", "n"), (0,))
+
+
+@_family("thm1_i", ("z", "f"), (0, -1))
+def theorem1_i(fld, z, f):
     """Two-dimensional family with diagonal first generator.
 
     sigma_1 -> diag(-z, 1) and sigma_2 has forced diagonal 1/(z+1), -z^2/(z+1);
     the off-diagonal product is pinned to z(z^2+z+1)/(z+1)^2, so f determines
     its partner entry g.
     """
-    z, f, fld = join(z, f)
-    _guard_excluded(z, (0, -1), "thm1_i")
     if fld.is_zero(f):
         raise ParameterError("f must be nonzero; the off-diagonal product fg is forced")
     one = fld.one
@@ -230,35 +247,31 @@ def theorem1_i(z, f) -> Representation:
     s1 = Matrix.from_rows([[-z, fld.zero], [fld.zero, one]], fld)
     s2 = Matrix.from_rows([[one / (z + one), f],
                            [g, -(z * z) / (z + one)]], fld)
-    return make_representation(3, (s1, s2), RepMeta("thm1_i", MappingProxyType({"z": z, "f": f})))
+    return s1, s2
 
 
-@_memoized
-def theorem1_ii(z, e) -> Representation:
+@_family("thm1_ii", ("z", "e"), (0,))
+def theorem1_ii(fld, z, e):
     """Two-dimensional family with unipotent first generator.
 
     sigma_1 -> [[1, z], [0, 1]]; solving the braid relation pins sigma_2 to
     [[e, z(e-1)^2], [-1/z, 2-e]].
     """
-    z, e, fld = join(z, e)
-    _guard_excluded(z, (0,), "thm1_ii")
     one = fld.one
     two = fld.lift(2)
     s1 = Matrix.from_rows([[one, z], [fld.zero, one]], fld)
     s2 = Matrix.from_rows([[e, z * (e - one) ** 2],
                            [-(one / z), two - e]], fld)
-    return make_representation(3, (s1, s2), RepMeta("thm1_ii", MappingProxyType({"z": z, "e": e})))
+    return s1, s2
 
 
-@_memoized
-def burau3(z) -> Representation:
+@_family("burau", ("z",), (0,))
+def burau3(fld, z):
     """The reduced Burau representation of B3."""
-    fld = field_of(z)
-    _guard_excluded(z, (0,), "burau")
     one, zero = fld.one, fld.zero
     s1 = Matrix.from_rows([[-z, zero], [one, one]], fld)
     s2 = Matrix.from_rows([[one, z], [zero, -z]], fld)
-    return make_representation(3, (s1, s2), RepMeta("burau", MappingProxyType({"z": z})))
+    return s1, s2
 
 
 def burau_change_of_basis(z) -> Matrix:
@@ -271,33 +284,29 @@ def burau_change_of_basis(z) -> Matrix:
     return Matrix.from_rows([[-(z + one), zero], [one, one]], fld)
 
 
-@_memoized
-def burau3_diag(z) -> Representation:
+@_family("burau_diag", ("z",), (0, -1))
+def burau3_diag(fld, z):
     """Burau with the first generator diagonalized.
 
     Requires z != -1 (the change of basis degenerates and the entries have
     poles there); z = 1 is allowed since the basis change stays invertible.
     """
-    fld = field_of(z)
-    _guard_excluded(z, (0, -1), "burau_diag")
     one, zero = fld.one, fld.zero
     w = z * z + z + one
     s1 = Matrix.from_rows([[-z, zero], [zero, one]], fld)
     s2 = Matrix.from_rows([[one / (z + one), -z / (z + one)],
                            [-w / (z + one), -(z * z) / (z + one)]], fld)
-    return make_representation(3, (s1, s2), RepMeta("burau_diag", MappingProxyType({"z": z})))
+    return s1, s2
 
 
-@_memoized
-def mu(z) -> Representation:
+@_family("mu", ("z",), (0, -1))
+def mu(fld, z):
     """The three-dimensional complement of the scalar line in Burau squared.
 
     Defined by its explicit matrices: sigma_1 -> diag(1, -z, z^2) and a
     dense second generator with (z+1)^2 denominators throughout.
     """
-    fld = field_of(z)
-    _guard_excluded(z, (0, -1), "mu")
-    one, zero = fld.one, fld.zero
+    one = fld.one
     d = (z + one) ** 2
     w = z * z + z + one
     s1 = Matrix.diagonal([one, -z, z * z], fld)
@@ -306,17 +315,15 @@ def mu(z) -> Representation:
         [2 * z ** 3 / d, z * (z * z + one) / d, -(2 * w) / d],
         [(z * z) / d, -z / d, one / d],
     ], fld)
-    return make_representation(3, (s1, s2), RepMeta("mu", MappingProxyType({"z": z})))
+    return s1, s2
 
 
-@_memoized
-def mu_pascal(z) -> Representation:
+@_family("mu_pascal", ("z",), (0, -1))
+def mu_pascal(fld, z):
     """The same three-dimensional representation in the symmetric-power basis.
 
     Both generator images are triangular with binomial-pattern entries.
     """
-    fld = field_of(z)
-    _guard_excluded(z, (0, -1), "mu_pascal")
     one, zero = fld.one, fld.zero
     two = fld.lift(2)
     s1 = Matrix.from_rows([
@@ -329,7 +336,7 @@ def mu_pascal(z) -> Representation:
         [zero, -z, -(z * z)],
         [zero, zero, z * z],
     ], fld)
-    return make_representation(3, (s1, s2), RepMeta("mu_pascal", MappingProxyType({"z": z})))
+    return s1, s2
 
 
 def standard_s3() -> Representation:

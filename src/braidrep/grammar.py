@@ -17,9 +17,8 @@ from fractions import Fraction
 from .fields import (CC, Omega, Poly, QQ, QW, QZ, RatFunc, field_of, format_scalar,
                      poly_terms, signed_sum)
 from .matrices import Matrix
-from .families import (Representation, RepMeta, burau3, burau3_diag, dual,
-                       direct_sum, make_representation, mu, mu_pascal,
-                       standard_s3, tensor, theorem1_i, theorem1_ii, xi)
+from .families import (FAMILIES, Representation, RepMeta, dual, direct_sum,
+                       make_representation, standard_s3, tensor)
 
 
 class ParseError(ValueError):
@@ -27,19 +26,19 @@ class ParseError(ValueError):
 
 
 # Size limits that bound what any spec costs to parse and build: the braid
-# index of ``xi`` (its relation check is quadratic in it), the predicted size
-# of each ``^`` and of each QQ(z) ``*``, ``/``, ``+`` and ``-`` (binary
-# powering is fast, but chained powers such as z^1000^1000 or products of
-# in-cap powers grow without bound), and the length of the input itself,
-# which bounds how many in-cap operations one spec or point can hold, and
-# the size of a ``--raw`` file.  Parentheses, unary minus and combinators
-# may nest at most MAX_NESTING deep inside a spec's outermost call or in a
-# point, which keeps the recursive parsing and printing far below the
-# interpreter's recursion limit.  MAX_DIMENSION bounds what a spec or
-# ``--raw`` file builds, and MAX_ISOMORPHIC_UNKNOWNS the n1*n2 intertwiner
+# index of ``xi`` and of a ``--raw`` file (a relation check is quadratic in
+# it), the predicted size of each ``^`` and of each QQ(z) ``*``, ``/``, ``+``
+# and ``-`` (binary powering is fast, but chained powers such as z^1000^1000
+# or products of in-cap powers grow without bound), and the length of the
+# input itself, which bounds how many in-cap operations one spec or point can
+# hold, and the size of a ``--raw`` file.  Parentheses, unary minus and
+# combinators may nest at most MAX_NESTING deep inside a spec's outermost
+# call or in a point, which keeps the recursive parsing and printing far
+# below the interpreter's recursion limit.  MAX_DIMENSION bounds what a spec
+# or ``--raw`` file builds, and MAX_ISOMORPHIC_UNKNOWNS the n1*n2 intertwiner
 # entries ``isomorphic`` solves for; at either cap one command over QQ(z)
 # takes about 2 s.
-MAX_XI_BRAID_INDEX = 200
+MAX_BRAID_INDEX = 200
 MAX_POWER_DEGREE = 1024
 MAX_POWER_BITS = 4096
 MAX_SPEC_CHARS = 20_000
@@ -308,16 +307,6 @@ def parse_point(text: str):
 # ---------------------------------------------------------------------------
 # Family specs
 
-_FAMILIES = {
-    "burau": (burau3, ("z",), ()),
-    "burau_diag": (burau3_diag, ("z",), ()),
-    "mu": (mu, ("z",), ()),
-    "mu_pascal": (mu_pascal, ("z",), ()),
-    "xi": (xi, ("z",), ("n",)),
-    "thm1_i": (theorem1_i, ("z", "f"), ()),
-    "thm1_ii": (theorem1_ii, ("z", "e"), ()),
-}
-
 _COMBINATORS = {"tensor": tensor, "direct_sum": direct_sum, "dual": dual}
 
 # provenance names that format_spec prints with no parameters
@@ -382,41 +371,40 @@ def parse_family_spec(text: str) -> Representation:
             raise ParseError(f"{name} of dimensions {d1}, {d2} is above the limit {MAX_DIMENSION}")
         return func(args[0], args[1])
 
-    if name not in _FAMILIES:
+    if name not in FAMILIES:
         raise ParseError(f"unknown family {name!r}")
-    func, positional, keywords = _FAMILIES[name]
+    build, params, _ = FAMILIES[name]
     if body is None or not body.strip():
         raise ParseError(f"{name} needs a parameter, e.g. {name}(z)")
 
+    # every parameter after z is named; the braid index n is an optional integer
     sections = _split_top_level(body, ";")
-    pos_args = [parse_scalar(sections[0])]
-    kw_args = {}
+    args = {params[0]: parse_scalar(sections[0])}
     for section in sections[1:]:
         for item in _split_top_level(section, ","):
             if "=" not in item:
                 raise ParseError(f"expected name=value in {item!r}")
             key, _, value = item.partition("=")
             key = key.strip()
-            if key in keywords:
-                try:
-                    kw_args[key] = int(value.strip())
-                except ValueError:
-                    raise ParseError(f"parameter {key!r} must be an integer, "
-                                     f"got {value.strip()!r}") from None
-                if kw_args[key] > MAX_XI_BRAID_INDEX:
-                    raise ParseError(f"parameter {key!r} is {kw_args[key]}, above the "
-                                     f"limit {MAX_XI_BRAID_INDEX}")
-            elif key in positional[1:]:
-                kw_args[key] = parse_scalar(value)
-            else:
+            if key not in params[1:]:
                 raise ParseError(f"unknown parameter {key!r} for {name}")
-    missing = [p for p in positional[1:] if p not in kw_args]
+            if key in args:
+                raise ParseError(f"parameter {key!r} is given twice")
+            args[key] = _braid_index(value.strip()) if key == "n" else parse_scalar(value)
+    missing = [p for p in params if p not in args and p != "n"]
     if missing:
         raise ParseError(f"{name} needs parameter(s) {', '.join(missing)}")
-    ordered = pos_args + [kw_args.pop(p) for p in positional[1:]]
-    if name == "xi" and "n" in kw_args:
-        return func(ordered[0], braid_index=kw_args["n"])
-    return func(*ordered)
+    return build(*(args[p] for p in params if p in args))
+
+
+def _braid_index(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        raise ParseError(f"parameter 'n' must be an integer, got {text!r}") from None
+    if n > MAX_BRAID_INDEX:
+        raise ParseError(f"parameter 'n' is {n}, above the limit {MAX_BRAID_INDEX}")
+    return n
 
 
 def format_spec(meta: RepMeta) -> str:
@@ -551,6 +539,9 @@ def representation_from_json(obj: dict) -> Representation:
     if not isinstance(braid_index, int) or isinstance(braid_index, bool):
         raise ParseError(f"bad representation JSON: braid_index must be an integer, "
                          f"got {braid_index!r}")
+    if braid_index > MAX_BRAID_INDEX:
+        raise ParseError(f"bad representation JSON: braid_index {braid_index} is above "
+                         f"the limit {MAX_BRAID_INDEX}")
     return make_representation(braid_index, images, meta_from_json(obj.get("meta") or {}))
 
 

@@ -321,6 +321,18 @@ def test_verify_raw_non_integer_braid_index_is_exit_2(capsys, tmp_path, braid_in
     assert "parse error: bad representation JSON: braid_index must be an integer" in err
 
 
+def test_verify_raw_braid_index_cap(capsys, tmp_path):
+    cap = grammar.MAX_BRAID_INDEX
+    one = {"rows": 1, "cols": 1, "entries": [["1"]]}
+    at_cap = raw_rep(tmp_path, braid_index=cap, images=[one] * (cap - 1), meta={})
+    code, out, _ = run(capsys, "verify", "--raw", at_cap)
+    assert (code, "overall: holds" in out) == (0, True)
+    above = raw_rep(tmp_path, braid_index=cap + 1, images=[one] * cap, meta={})
+    assert run(capsys, "verify", "--raw", above) == (
+        2, "", f"parse error: bad representation JSON: braid_index {cap + 1} is above "
+               f"the limit {cap}\n")
+
+
 def test_verify_raw_zero_divisor_is_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "verify", "--raw",
                        raw_rep(tmp_path, meta={"family": "burau", "params": {"z": "1/0"}}))

@@ -333,14 +333,14 @@ def test_image_of_word():
 
 # -- named builds shared over QQ(z) inside build_once() ---------------------------
 
-MEMOIZED = {
-    "burau": (burau3, lambda z: (z,)),
-    "burau_diag": (burau3_diag, lambda z: (z,)),
-    "mu": (mu, lambda z: (z,)),
-    "mu_pascal": (mu_pascal, lambda z: (z,)),
-    "thm1_i": (theorem1_i, lambda z: (z, z * z)),
-    "thm1_ii": (theorem1_ii, lambda z: (z, z + z)),
-}
+def _arguments(params):
+    """Arguments from one value z: z itself, and z squared for a second parameter."""
+    return lambda z: (z, z * z)[:len(params)]
+
+
+# every family declared with families._family; xi is entered by hand and not shared
+MEMOIZED = {name: (build, _arguments(params))
+            for name, (build, params, _) in families.FAMILIES.items() if build is not xi}
 
 
 @pytest.mark.parametrize("name", MEMOIZED)

@@ -16,7 +16,8 @@ from braidrep import (CC, Matrix, Omega, ParseError, Poly, QQ, QW, QZ, RatFunc,
                       scalar_from_json, scalar_to_json, scalar_to_latex,
                       specialize, theorem1_i, verify_braid_relations)
 
-from braidrep.grammar import MAX_POWER_BITS, MAX_POWER_DEGREE, MAX_XI_BRAID_INDEX
+from braidrep import families
+from braidrep.grammar import MAX_BRAID_INDEX, MAX_POWER_BITS, MAX_POWER_DEGREE
 
 from _gen import rand_fraction, rand_omega, rand_ratfunc
 
@@ -113,9 +114,9 @@ def test_qqz_operators_are_capped_before_they_are_computed():
 
 
 def test_xi_braid_index_is_capped():
-    assert parse_family_spec(f"xi(z; n={MAX_XI_BRAID_INDEX})").braid_index == MAX_XI_BRAID_INDEX
+    assert parse_family_spec(f"xi(z; n={MAX_BRAID_INDEX})").braid_index == MAX_BRAID_INDEX
     with pytest.raises(ParseError, match="above the limit"):
-        parse_family_spec(f"xi(z; n={MAX_XI_BRAID_INDEX + 1})")
+        parse_family_spec(f"xi(z; n={MAX_BRAID_INDEX + 1})")
 
 
 def test_point_rejects_symbols():
@@ -173,6 +174,9 @@ def test_parse_spec_errors():
         parse_family_spec("thm1_i(z; q=1)")  # unknown parameter
     with pytest.raises(ParseError):
         parse_family_spec("standard_s3(1)")
+    for text in ("thm1_i(z; f=1, f=2)", "thm1_ii(z; e=1; e=2)", "xi(z; n=4, n=5)"):
+        with pytest.raises(ParseError, match="parameter '[fen]' is given twice"):
+            parse_family_spec(text)
 
 
 def test_integer_keyword_must_be_an_integer():
@@ -181,10 +185,21 @@ def test_integer_keyword_must_be_an_integer():
             parse_family_spec(f"xi(z; n={bad})")
 
 
+# a value for each family parameter after z
+SPEC_VALUES = {"f": "-z/(z+1)", "e": "0", "n": "5"}
+
+
+def family_specs():
+    """Every family in ``families.FAMILIES`` at a symbolic and a rational z."""
+    for name, (_, params, _) in families.FAMILIES.items():
+        rest = "".join(f"; {p}={SPEC_VALUES[p]}" for p in params[1:])
+        for z in ("z", "5/7"):
+            yield f"{name}({z}{rest})"
+
+
 def test_spec_print_parse_round_trip():
-    specs = ["burau(z)", "burau(5/7)", "burau_diag(z)", "mu(z)", "mu_pascal(z)",
-             "xi(-z)", "xi(2; n=5)", "thm1_i(z; f=-z/(z+1))", "thm1_ii(2; e=0)",
-             "standard_s3", "tensor(burau(z),burau(z))", "dual(mu(z))"]
+    specs = [*family_specs(), "xi(-z)", "standard_s3", "tensor(burau(z),burau(z))",
+             "dual(mu(z))"]
     for text in specs:
         rep = parse_family_spec(text)
         reparsed = parse_family_spec(format_spec(rep.meta))

@@ -201,23 +201,20 @@ def test_excluded_parameters_cover_poles_and_singular_points(name):
 KNOWN_MISMATCHES = {"mu_pascal": ({0}, (0, -1))}
 
 
-@pytest.mark.parametrize("name", ["burau", "burau_diag", "mu", "mu_pascal"])
-def test_excluded_list_is_the_derived_set(name, monkeypatch):
+# A value for each parameter after z; none of them adds a critical point.
+SECOND = {"f": Fraction(5, 4), "e": Fraction(5, 4), "n": 3}
+
+
+@pytest.mark.parametrize("name", sorted(families.FAMILIES))
+def test_excluded_list_is_the_derived_set(name):
     """Rational roots of the entry denominators and image determinants of the
-    family built over QQ(z), against the list its constructor passes to
-    ``_guard_excluded``."""
-    written = []
-    guard = families._guard_excluded
-
-    def recording_guard(z, excluded, family):
-        written.extend(excluded)
-        return guard(z, excluded, family)
-
-    monkeypatch.setattr(families, "_guard_excluded", recording_guard)
-    build, _ = ONE_PARAMETER[name]
-    images = [to_sympy_matrix(m) for m in build(RatFunc.gen()).images]
+    family built over QQ(z), against the excluded integers ``families.FAMILIES``
+    declares for it."""
+    build, params, written = families.FAMILIES[name]
+    rep = build(RatFunc.gen(), *(SECOND[p] for p in params[1:]))
+    images = [to_sympy_matrix(m) for m in rep.images]
     derived = {Fraction(int(r.p), int(r.q)) for r in critical_points(images) if r.is_rational}
     if name in KNOWN_MISMATCHES:
-        assert (derived, tuple(written)) == KNOWN_MISMATCHES[name]
+        assert (derived, written) == KNOWN_MISMATCHES[name]
     else:
         assert derived == set(written)
